@@ -17,7 +17,7 @@ from .dispatch import (
     renewable_fluctuation_energy,
 )
 from .errors import GridstoreError
-from .lp import LinearProgram, LpSolution, Status, presolve_trivial, solve, solve_with_backend
+from .lp import LinearProgram, LpSolution, Status, solve, solve_with_backend
 from .network import (
     Bus,
     Generator,
@@ -79,7 +79,6 @@ __all__ = [
     "normalized_energy_capacity",
     "normalized_power_capacity",
     "perf",
-    "presolve_trivial",
     "renewable_fluctuation_energy",
     "solve",
     "solve_with_backend",

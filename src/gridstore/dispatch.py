@@ -16,9 +16,11 @@ it shares units with the capacity cost terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import (
@@ -88,54 +90,82 @@ class DispatchConfig:
 
 
 class DispatchIndex:
-    """Column layout of the dispatch LP and the decoding that goes with it."""
+    """Column layout of the dispatch LP: one contiguous block per variable family.
+
+    Blocks in column order: ``pg`` (T, n_gen), ``ps`` (T, n_store), ``theta``
+    (T, n_buses - 1, over ``non_slack``), ``s_bar`` and ``ps_bar`` (n_store
+    each, empty when capacities are fixed), ``s0`` (n_store) and ``curtail``
+    (T, n_sites, empty without curtailment).  Each attribute holds its
+    block's column numbers in that shape, so ``x[idx.pg]`` is the generator
+    schedule.  Storage columns follow ``storage``, the sorted node list.
+    """
 
     def __init__(self, network: Network, scenario: Scenario, config: DispatchConfig):
-        self.T = scenario.n_steps
+        self.T = T = scenario.n_steps
         self.n_gen = len(network.generators)
         self.n_buses = network.n_buses
         self.slack = network.slack
         self.storage = sorted(config.storage_nodes)
-        self.n_store = len(self.storage)
+        self.n_store = K = len(self.storage)
         self.n_sites = len(network.renewables)
         self.curtail_on = config.allow_curtailment
         self.sized = config.s_bar_fixed is None  # capacities are variables
+        self.non_slack = np.delete(np.arange(self.n_buses), self.slack)
 
-        self.non_slack = [i for i in range(self.n_buses) if i != self.slack]
-        self._theta_pos = {bus: k for k, bus in enumerate(self.non_slack)}
-        self._store_pos = {bus: k for k, bus in enumerate(self.storage)}
+        self.n_vars = 0
 
-        T, G, K = self.T, self.n_gen, self.n_store
-        self._pg0 = 0
-        self._ps0 = self._pg0 + T * G
-        self._th0 = self._ps0 + T * K
-        self._sbar0 = self._th0 + T * (self.n_buses - 1)
+        def block(*shape: int) -> np.ndarray:
+            cols = np.arange(self.n_vars, self.n_vars + math.prod(shape)).reshape(shape)
+            self.n_vars += cols.size
+            return cols
+
         n_cap = K if self.sized else 0
-        self._psbar0 = self._sbar0 + n_cap
-        self._s00 = self._psbar0 + n_cap
-        self._cur0 = self._s00 + K
-        self.n_vars = self._cur0 + (T * self.n_sites if self.curtail_on else 0)
+        self.pg = block(T, self.n_gen)
+        self.ps = block(T, K)
+        self.theta = block(T, self.n_buses - 1)
+        self.s_bar = block(n_cap)
+        self.ps_bar = block(n_cap)
+        self.s0 = block(K)
+        self.curtail = block(T, self.n_sites if self.curtail_on else 0)
 
-    def pg(self, t: int, g: int) -> int:
-        return self._pg0 + t * self.n_gen + g
 
-    def ps(self, t: int, node: int) -> int:
-        return self._ps0 + t * self.n_store + self._store_pos[node]
+class _Rows:
+    """Constraint rows gathered family by family as COO index blocks.
 
-    def theta(self, t: int, bus: int) -> int:
-        return self._th0 + t * (self.n_buses - 1) + self._theta_pos[bus]
+    No two blocks set the same coefficient and none sets a zero, so the CSR
+    matrix holds exactly the entries set, columns sorted within each row.
+    """
 
-    def s_bar(self, node: int) -> int:
-        return self._sbar0 + self._store_pos[node]
+    def __init__(self):
+        self.n = 0
+        self.lower: list[np.ndarray] = []
+        self.upper: list[np.ndarray] = []
+        self.entries: list[tuple[np.ndarray, ...]] = []
 
-    def ps_bar(self, node: int) -> int:
-        return self._psbar0 + self._store_pos[node]
+    def add(self, lower, upper) -> np.ndarray:
+        """Append rows with these bounds; returns their numbers in the same shape."""
+        lower, upper = np.broadcast_arrays(np.asarray(lower, float), np.asarray(upper, float))
+        self.lower.append(lower.ravel())
+        self.upper.append(upper.ravel())
+        first, self.n = self.n, self.n + lower.size
+        return np.arange(first, self.n).reshape(lower.shape)
 
-    def s0(self, node: int) -> int:
-        return self._s00 + self._store_pos[node]
+    def set(self, rows, cols, values) -> None:
+        """Coefficients ``A[rows, cols] = values``, the three broadcast together."""
+        self.entries.append(np.broadcast_arrays(rows, cols, np.asarray(values, float)))
 
-    def curtail(self, t: int, site: int) -> int:
-        return self._cur0 + t * self.n_sites + site
+    def program(self, cost, var_lower, var_upper) -> LinearProgram:
+        """The LP over these rows, with one CSR matrix built from every block."""
+        r, c, v = (np.concatenate([e[k].ravel() for e in self.entries]) for k in range(3))
+        return LinearProgram(
+            n_vars=len(cost),
+            cost=cost,
+            A=sp.csr_matrix((v, (r, c)), shape=(self.n, len(cost))),
+            row_lower=np.concatenate(self.lower),
+            row_upper=np.concatenate(self.upper),
+            var_lower=var_lower,
+            var_upper=var_upper,
+        )
 
 
 @dataclass(eq=False)
@@ -183,131 +213,106 @@ def build_dispatch_lp(
         raise DisconnectedNetwork("dispatch requires a connected network")
 
     idx = DispatchIndex(network, scenario, config)
-    T, dt = idx.T, scenario.dt_hours
+    T, dt, K = idx.T, scenario.dt_hours, idx.n_store
     gens = network.generators
-    lap = build_laplacian(network)
+    gen_bus = np.array([gen.bus for gen in gens], dtype=int)
+    site_bus = np.array([site.bus for site in network.renewables], dtype=int)
 
     cost = np.zeros(idx.n_vars)
     lower = np.full(idx.n_vars, -np.inf)
     upper = np.full(idx.n_vars, np.inf)
-
-    for t in range(T):
-        for g, gen in enumerate(gens):
-            j = idx.pg(t, g)
-            cost[j] = gen.cost * dt
-            lower[j], upper[j] = 0.0, gen.p_max
-    for k, node in enumerate(idx.storage):
-        if idx.sized:
-            j = idx.s_bar(node)
-            cost[j] = config.storage_energy_cost
-            lower[j] = 0.0
-            j = idx.ps_bar(node)
-            cost[j] = config.storage_power_cost
-            lower[j] = 0.0
-            lower[idx.s0(node)] = 0.0
-        else:
-            s_cap = config.s_bar_fixed[k]
-            p_cap = config.ps_bar_fixed[k] if config.ps_bar_fixed is not None else np.inf
-            lower[idx.s0(node)], upper[idx.s0(node)] = 0.0, s_cap
-            for t in range(T):
-                j = idx.ps(t, node)
-                lower[j], upper[j] = -p_cap, p_cap
+    cost[idx.pg] = [gen.cost * dt for gen in gens]
+    lower[idx.pg] = 0.0
+    upper[idx.pg] = [gen.p_max for gen in gens]
+    lower[idx.s0] = 0.0
+    if idx.sized:
+        cost[idx.s_bar] = config.storage_energy_cost
+        cost[idx.ps_bar] = config.storage_power_cost
+        lower[idx.s_bar] = lower[idx.ps_bar] = 0.0
+    else:
+        s_cap = np.asarray(config.s_bar_fixed, dtype=float)
+        p_cap = np.asarray(
+            config.ps_bar_fixed if config.ps_bar_fixed is not None else np.full(K, np.inf),
+            dtype=float,
+        )
+        upper[idx.s0] = s_cap
+        lower[idx.ps], upper[idx.ps] = -p_cap, p_cap
     if idx.curtail_on:
-        for t in range(T):
-            for s in range(idx.n_sites):
-                j = idx.curtail(t, s)
-                cost[j] = CURTAIL_PENALTY * dt
-                lower[j], upper[j] = 0.0, scenario.renewable[t, s]
+        cost[idx.curtail] = CURTAIL_PENALTY * dt
+        lower[idx.curtail] = 0.0
+        upper[idx.curtail] = scenario.renewable
 
-    prog = LinearProgram(n_vars=idx.n_vars, cost=cost, var_lower=lower, var_upper=upper)
-
-    gens_at = [[] for _ in range(idx.n_buses)]
-    for g, gen in enumerate(gens):
-        gens_at[gen.bus].append(g)
-    sites_at = [[] for _ in range(idx.n_buses)]
-    for s, site in enumerate(network.renewables):
-        sites_at[site.bus].append(s)
-    storage_set = set(idx.storage)
+    rows = _Rows()
 
     # nodal balance: L theta - pg - ps (+ curtail) = p_r - load + interchange
-    for t in range(T):
-        for i in range(idx.n_buses):
-            entries: dict[int, float] = {}
-            for jbus in range(idx.n_buses):
-                if lap[i, jbus] != 0.0 and jbus != idx.slack:
-                    entries[idx.theta(t, jbus)] = lap[i, jbus]
-            for g in gens_at[i]:
-                entries[idx.pg(t, g)] = -1.0
-            if i in storage_set:
-                entries[idx.ps(t, i)] = -1.0
-            rhs = float(scenario.interchange[t, i] - scenario.load[t, i])
-            for s in sites_at[i]:
-                rhs += float(scenario.renewable[t, s])
-                if idx.curtail_on:
-                    entries[idx.curtail(t, s)] = 1.0
-            prog.add_row(entries, rhs, rhs)
+    rhs = scenario.interchange - scenario.load
+    np.add.at(rhs, (slice(None), site_bus), scenario.renewable)  # site by site, in order
+    balance = rows.add(rhs, rhs)  # (T, n_buses)
+    lap = build_laplacian(network)
+    bus, pos = np.nonzero(lap[:, idx.non_slack])
+    rows.set(balance[:, bus], idx.theta[:, pos], lap[bus, idx.non_slack[pos]])
+    rows.set(balance[:, gen_bus], idx.pg, -1.0)
+    rows.set(balance[:, idx.storage], idx.ps, -1.0)
+    if idx.curtail_on:
+        rows.set(balance[:, site_bus], idx.curtail, 1.0)
 
-    # line flow limits
-    for t in range(T):
-        for line in network.lines:
-            if line.flow_limit is None:
-                continue
-            entries = {}
-            w = 1.0 / line.reactance
-            if line.from_bus != idx.slack:
-                entries[idx.theta(t, line.from_bus)] = w
-            if line.to_bus != idx.slack:
-                entries[idx.theta(t, line.to_bus)] = entries.get(idx.theta(t, line.to_bus), 0.0) - w
-            prog.add_row(entries, -line.flow_limit, line.flow_limit)
+    # line flow limits: (theta_from - theta_to) / x, slack angle fixed at 0
+    limited = [line for line in network.lines if line.flow_limit is not None]
+    limit = np.array([line.flow_limit for line in limited], dtype=float)
+    weight = np.array([1.0 / line.reactance for line in limited])
+    flow = rows.add(np.broadcast_to(-limit, (T, len(limited))), limit)  # (T, n_limited)
+    from_bus = np.array([line.from_bus for line in limited], dtype=int)
+    to_bus = np.array([line.to_bus for line in limited], dtype=int)
+    theta_pos = np.full(idx.n_buses, -1)
+    theta_pos[idx.non_slack] = np.arange(idx.n_buses - 1)
+    for bus, coef in ((from_bus, weight), (to_bus, -weight)):
+        keep = bus != idx.slack
+        rows.set(flow[:, keep], idx.theta[:, theta_pos[bus[keep]]], coef[keep])
 
     # generator ramping between consecutive steps
-    for t in range(1, T):
-        for g, gen in enumerate(gens):
-            if not np.isfinite(gen.ramp_limit):
-                continue
-            prog.add_row(
-                {idx.pg(t, g): 1.0, idx.pg(t - 1, g): -1.0},
-                -gen.ramp_limit,
-                gen.ramp_limit,
-            )
+    ramp = np.array([gen.ramp_limit for gen in gens], dtype=float)
+    ramped = np.flatnonzero(np.isfinite(ramp))
+    ramps = rows.add(np.broadcast_to(-ramp[ramped], (T - 1, len(ramped))), ramp[ramped])
+    rows.set(ramps, idx.pg[1:, ramped], 1.0)
+    rows.set(ramps, idx.pg[:-1, ramped], -1.0)
 
-    # state of charge inside [0, s_bar] at every boundary, via running sums
-    for node in idx.storage:
+    # state of charge inside [0, s_bar] at every boundary, via running sums.
+    # Per node: s0 <= s_bar when sized, s0 = s_bar / 2 when pinned, then a
+    # (soc >= 0, soc <= s_bar) pair per step.  Every row carries s0.
+    if K:
+        pinned = not config.initial_soc_free
+        head = int(idx.sized) + int(pinned)
+        lo = np.empty((K, head + 2 * T))
+        hi = np.empty((K, head + 2 * T))
+        lo[:, head::2], hi[:, head::2] = 0.0, np.inf
+        lo[:, head + 1 :: 2] = -np.inf
+        hi[:, head + 1 :: 2] = 0.0 if idx.sized else s_cap[:, None]
         if idx.sized:
-            prog.add_row({idx.s0(node): 1.0, idx.s_bar(node): -1.0}, -np.inf, 0.0)
-            if not config.initial_soc_free:
-                prog.add_row({idx.s0(node): 1.0, idx.s_bar(node): -0.5}, 0.0, 0.0)
-        elif not config.initial_soc_free:
-            k = idx._store_pos[node]
-            half = 0.5 * config.s_bar_fixed[k]
-            prog.add_row({idx.s0(node): 1.0}, half, half)
-        for t in range(1, T + 1):
-            cum = {idx.ps(tau, node): -dt for tau in range(t)}
-            cum[idx.s0(node)] = 1.0
-            prog.add_row(dict(cum), 0.0, np.inf)  # soc >= 0
-            if idx.sized:
-                cum[idx.s_bar(node)] = -1.0
-                prog.add_row(cum, -np.inf, 0.0)  # soc <= s_bar
-            else:
-                k = idx._store_pos[node]
-                prog.add_row(cum, -np.inf, config.s_bar_fixed[k])
+            lo[:, 0], hi[:, 0] = -np.inf, 0.0
+        if pinned:
+            lo[:, head - 1] = hi[:, head - 1] = 0.0 if idx.sized else 0.5 * s_cap
+        soc = rows.add(lo, hi)  # (K, head + 2T)
+        rows.set(soc, idx.s0[:, None], 1.0)
+        if idx.sized:
+            rows.set(soc[:, 0], idx.s_bar, -1.0)
+            if pinned:
+                rows.set(soc[:, 1], idx.s_bar, -0.5)
+            rows.set(soc[:, head + 1 :: 2], idx.s_bar[:, None], -1.0)
+        step, tau = np.tril_indices(T)  # soc after step+1 sums ps over tau <= step
+        for side in (0, 1):
+            rows.set(soc[:, head + 2 * step + side], idx.ps[tau].T, -dt)
 
-    # |ps| <= ps_bar when the rating is a variable
+    # |ps| <= ps_bar when the rating is a variable: ps - ps_bar <= 0 <= ps + ps_bar
     if idx.sized:
-        for t in range(T):
-            for node in idx.storage:
-                prog.add_row({idx.ps(t, node): 1.0, idx.ps_bar(node): -1.0}, -np.inf, 0.0)
-                prog.add_row({idx.ps(t, node): 1.0, idx.ps_bar(node): 1.0}, 0.0, np.inf)
+        rating = rows.add(np.broadcast_to([-np.inf, 0.0], (T, K, 2)), [0.0, np.inf])
+        rows.set(rating, idx.ps[:, :, None], 1.0)
+        rows.set(rating, idx.ps_bar[:, None], [-1.0, 1.0])
 
     # zero net energy exchanged with storage over the horizon
-    if idx.storage:
-        prog.add_row(
-            {idx.ps(t, node): dt for t in range(T) for node in idx.storage},
-            0.0,
-            0.0,
-        )
+    if K:
+        rows.set(rows.add(0.0, 0.0), idx.ps, dt)
 
-    return prog, idx
+    return rows.program(cost, lower, upper), idx
 
 
 def decode_solution(
@@ -320,24 +325,19 @@ def decode_solution(
     x = sol.x
     T = idx.T
     dt = scenario.dt_hours
-    pg = np.array([[x[idx.pg(t, g)] for g in range(idx.n_gen)] for t in range(T)])
-    ps = np.array([[x[idx.ps(t, b)] for b in idx.storage] for t in range(T)])
-    ps = ps.reshape(T, idx.n_store)
-    s0 = np.array([x[idx.s0(b)] for b in idx.storage])
+    pg = x[idx.pg]
+    ps = x[idx.ps]
+    s0 = x[idx.s0]
     soc = np.vstack([s0, s0 - dt * np.cumsum(ps, axis=0)]) if idx.n_store else np.zeros((T + 1, 0))
     theta = np.zeros((T, idx.n_buses))
-    for t in range(T):
-        for bus in idx.non_slack:
-            theta[t, bus] = x[idx.theta(t, bus)]
-    flows = np.array(
-        [
-            [(theta[t, ln.from_bus] - theta[t, ln.to_bus]) / ln.reactance for ln in network.lines]
-            for t in range(T)
-        ]
-    ).reshape(T, len(network.lines))
+    theta[:, idx.non_slack] = x[idx.theta]
+    lines = network.lines
+    from_bus = np.array([ln.from_bus for ln in lines], dtype=int)
+    to_bus = np.array([ln.to_bus for ln in lines], dtype=int)
+    flows = (theta[:, from_bus] - theta[:, to_bus]) / np.array([ln.reactance for ln in lines])
     if idx.sized:
-        s_bar = np.array([x[idx.s_bar(b)] for b in idx.storage])
-        ps_bar = np.array([x[idx.ps_bar(b)] for b in idx.storage])
+        s_bar = x[idx.s_bar]
+        ps_bar = x[idx.ps_bar]
     else:
         s_bar = np.asarray(config.s_bar_fixed, dtype=float)
         ps_bar = (
@@ -345,18 +345,18 @@ def decode_solution(
             if config.ps_bar_fixed is not None
             else np.max(np.abs(ps), axis=0, initial=0.0) * np.ones(idx.n_store)
         )
-    curtailed = None
-    if idx.curtail_on:
-        curtailed = np.array(
-            [[x[idx.curtail(t, s)] for s in range(idx.n_sites)] for t in range(T)]
-        ).reshape(T, idx.n_sites)
-    gen_cost = float(sum(network.generators[g].cost * dt * pg[:, g].sum() for g in range(idx.n_gen)))
+    curtailed = x[idx.curtail] if idx.curtail_on else None
+    # each generator's energy summed over its own schedule, then the costs
+    # totalled left to right (the float order the reports have always used)
+    energy = np.ascontiguousarray(pg.T).sum(axis=1)
+    rate = np.array([gen.cost for gen in network.generators], dtype=float)
+    gen_cost = float(sum((rate * dt * energy).tolist()))
     store_cost = float(
         config.storage_energy_cost * s_bar.sum() + config.storage_power_cost * ps_bar.sum()
     ) if idx.sized else 0.0
     return DispatchSolution(
         status=sol.status,
-        pg=pg.reshape(T, idx.n_gen),
+        pg=pg,
         ps=ps,
         soc=soc,
         theta=theta,

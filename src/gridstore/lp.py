@@ -1,15 +1,17 @@
 """Sparse linear programs and solvers.
 
-A :class:`LinearProgram` is ``min c'x + offset`` subject to two-sided row
-activities ``row_lo <= Ax <= row_hi`` and variable bounds ``lo <= x <= hi``
-(any bound may be infinite; equal bounds mean equality).
+A :class:`LinearProgram` is ``min c'x`` subject to two-sided row activities
+``row_lo <= Ax <= row_hi`` and variable bounds ``lo <= x <= hi`` (any bound
+may be infinite; equal bounds mean equality).  ``A`` is one
+``scipy.sparse`` CSR matrix.
 
-Two interchangeable solvers implement the same result contract:
+Three interchangeable solvers implement the same result contract:
 
 * :func:`solve` - the in-repo bounded-variable two-phase revised simplex.
   Deterministic, dense basis arithmetic, intended for desk-scale instances.
-* :func:`solve_highs` - thin adapter over scipy's HiGHS backend for large
-  dispatch instances.  Same statuses, same residual reporting.
+* :func:`solve_highs` and :func:`solve_highs_ipm` - thin adapters over
+  scipy's HiGHS dual simplex and interior point for large dispatch
+  instances.  Same statuses, same residual reporting.
 """
 
 from __future__ import annotations
@@ -40,22 +42,30 @@ class Status(enum.Enum):
 
 @dataclass
 class LinearProgram:
-    """Triplet-form LP with two-sided rows and variable bounds."""
+    """LP over a CSR constraint matrix with two-sided rows and variable bounds.
+
+    ``A`` may be anything ``scipy.sparse.csr_matrix`` accepts (a sparse
+    matrix or a dense array); it is stored as CSR.  Without ``A`` the program
+    has ``len(row_lower)`` empty rows.
+    """
 
     n_vars: int
     cost: np.ndarray  # (n_vars,)
-    rows: list[tuple[int, int, float]] = field(default_factory=list)  # (row, col, coef)
+    A: sp.csr_matrix | None = None  # (n_rows, n_vars)
     row_lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
     row_upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
     var_lower: np.ndarray | None = None
     var_upper: np.ndarray | None = None
     names: list[str] | None = None
-    offset: float = 0.0  # constant folded into the objective (presolve)
 
     def __post_init__(self):
         self.cost = np.asarray(self.cost, dtype=float)
         self.row_lower = np.asarray(self.row_lower, dtype=float)
         self.row_upper = np.asarray(self.row_upper, dtype=float)
+        if self.A is None:
+            self.A = sp.csr_matrix((len(self.row_lower), self.n_vars))
+        else:
+            self.A = sp.csr_matrix(self.A, dtype=float)
         if self.var_lower is None:
             self.var_lower = np.full(self.n_vars, -INF)
         else:
@@ -80,28 +90,15 @@ class LinearProgram:
             raise ValidationError("row lower bound exceeds upper bound")
         if np.any(self.var_lower > self.var_upper):
             raise ValidationError("variable lower bound exceeds upper bound")
-        m = self.n_rows
-        for r, c, v in self.rows:
-            if not (0 <= r < m and 0 <= c < self.n_vars):
-                raise ValidationError(f"triplet ({r},{c}) out of range")
-            if not np.isfinite(v):
-                raise ValidationError(f"triplet ({r},{c}) has non-finite coefficient")
+        if self.A.shape != (self.n_rows, self.n_vars):
+            raise ValidationError(
+                f"constraint matrix is {self.A.shape}, expected {(self.n_rows, self.n_vars)}"
+            )
+        if not np.all(np.isfinite(self.A.data)):
+            raise ValidationError("constraint matrix has non-finite coefficients")
 
     def matrix(self) -> sp.csr_matrix:
-        if not self.rows:
-            return sp.csr_matrix((self.n_rows, self.n_vars))
-        r, c, v = zip(*self.rows)
-        return sp.csr_matrix((v, (r, c)), shape=(self.n_rows, self.n_vars))
-
-    def add_row(self, entries: dict[int, float], lower: float, upper: float) -> int:
-        """Append one row; returns its index."""
-        idx = self.n_rows
-        for col, coef in entries.items():
-            if coef != 0.0:
-                self.rows.append((idx, col, coef))
-        self.row_lower = np.append(self.row_lower, lower)
-        self.row_upper = np.append(self.row_upper, upper)
-        return idx
+        return self.A
 
 
 @dataclass
@@ -368,7 +365,7 @@ def solve(
 
     if lp.n_vars == 0:
         if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
-            return LpSolution(Status.OPTIMAL, np.zeros(0), lp.offset, 0, 0.0)
+            return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
         return LpSolution(Status.INFEASIBLE)
 
     tab = _Tableau(lp, feas_tol)
@@ -407,7 +404,7 @@ def solve(
     resid = max_violation(lp, x)
     if resid > max(10 * feas_tol, 1e-6):
         raise SolverFailure(f"simplex terminated with residual {resid:.3e}")
-    obj = float(lp.cost @ x) + lp.offset
+    obj = float(lp.cost @ x)
     return LpSolution(Status.OPTIMAL, x, obj, total_iters, resid)
 
 
@@ -417,13 +414,17 @@ def solve(
 
 
 def solve_highs(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
-    """Solve with scipy's HiGHS wrapper; same result contract as :func:`solve`."""
+    """Solve with scipy's HiGHS wrapper; same result contract as :func:`solve`.
+
+    scipy's ``milp`` entry point reports no simplex iteration count, so
+    ``iterations`` stays 0 here.
+    """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     lp.validate()
     if lp.n_vars == 0:
         if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
-            return LpSolution(Status.OPTIMAL, np.zeros(0), lp.offset, 0, 0.0)
+            return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
         return LpSolution(Status.INFEASIBLE)
 
     constraints = []
@@ -437,13 +438,7 @@ def solve_highs(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolu
     if res.status == 0:
         x = np.asarray(res.x, dtype=float)
         np.clip(x, lp.var_lower, lp.var_upper, out=x)
-        return LpSolution(
-            Status.OPTIMAL,
-            x,
-            float(lp.cost @ x) + lp.offset,
-            0,
-            max_violation(lp, x),
-        )
+        return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), 0, max_violation(lp, x))
     if res.status == 2:
         return LpSolution(Status.INFEASIBLE)
     if res.status == 3:
@@ -458,13 +453,14 @@ def solve_highs_ipm(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> Lp
 
     Much faster than simplex on large time-coupled instances with highly
     degenerate optimal faces; same result contract as :func:`solve`.
+    ``iterations`` is linprog's ``nit``.
     """
     from scipy.optimize import linprog
 
     lp.validate()
     if lp.n_vars == 0:
         if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
-            return LpSolution(Status.OPTIMAL, np.zeros(0), lp.offset, 0, 0.0)
+            return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
         return LpSolution(Status.INFEASIBLE)
 
     A = lp.matrix().tocsc()
@@ -483,18 +479,17 @@ def solve_highs_ipm(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> Lp
     res = linprog(
         lp.cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs-ipm"
     )
+    nit = int(res.nit)
     if res.status == 0:
         x = np.asarray(res.x, dtype=float)
         np.clip(x, lp.var_lower, lp.var_upper, out=x)
-        return LpSolution(
-            Status.OPTIMAL, x, float(lp.cost @ x) + lp.offset, 0, max_violation(lp, x)
-        )
+        return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), nit, max_violation(lp, x))
     if res.status == 2:
-        return LpSolution(Status.INFEASIBLE)
+        return LpSolution(Status.INFEASIBLE, iterations=nit)
     if res.status == 3:
-        return LpSolution(Status.UNBOUNDED)
+        return LpSolution(Status.UNBOUNDED, iterations=nit)
     if res.status == 1:
-        return LpSolution(Status.ITERATION_LIMIT)
+        return LpSolution(Status.ITERATION_LIMIT, iterations=nit)
     raise SolverFailure(f"HiGHS IPM stopped with status {res.status}: {res.message}")
 
 
@@ -511,80 +506,6 @@ def solve_with_backend(lp: LinearProgram, backend: str = "simplex", **kwargs) ->
     except KeyError:
         raise ValidationError(f"unknown LP backend {backend!r}") from None
     return fn(lp, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Presolve
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PresolveResult:
-    lp: LinearProgram | None  # None when trivially infeasible
-    infeasible: bool
-    fixed: dict[int, float]  # original var index -> pinned value
-    kept_vars: list[int]
-    kept_rows: list[int]
-
-    def lift(self, x_reduced: np.ndarray) -> np.ndarray:
-        """Expand a reduced solution back to the original variable order."""
-        x = np.zeros(len(self.kept_vars) + len(self.fixed))
-        for orig, val in self.fixed.items():
-            x[orig] = val
-        for new, orig in enumerate(self.kept_vars):
-            x[orig] = x_reduced[new]
-        return x
-
-
-def presolve_trivial(lp: LinearProgram) -> PresolveResult:
-    """Drop empty rows and substitute variables fixed by equal finite bounds.
-
-    The reduced program keeps the optimal objective (constants fold into
-    ``offset``).  Trivially conflicting empty rows mark the instance
-    infeasible.
-    """
-    lp.validate()
-    fixed = {
-        j: float(lp.var_lower[j])
-        for j in range(lp.n_vars)
-        if np.isfinite(lp.var_lower[j]) and lp.var_lower[j] == lp.var_upper[j]
-    }
-    offset = lp.offset + sum(lp.cost[j] * v for j, v in fixed.items())
-
-    row_shift = np.zeros(lp.n_rows)
-    surviving: list[tuple[int, int, float]] = []
-    row_has_entry = np.zeros(lp.n_rows, dtype=bool)
-    for r, c, v in lp.rows:
-        if c in fixed:
-            row_shift[r] += v * fixed[c]
-        else:
-            surviving.append((r, c, v))
-            row_has_entry[r] = True
-    new_lo = lp.row_lower - row_shift
-    new_hi = lp.row_upper - row_shift
-
-    kept_rows = []
-    for r in range(lp.n_rows):
-        if row_has_entry[r]:
-            kept_rows.append(r)
-        elif new_lo[r] > 1e-12 or new_hi[r] < -1e-12:
-            return PresolveResult(None, True, fixed, [], [])
-
-    kept_vars = [j for j in range(lp.n_vars) if j not in fixed]
-    var_map = {orig: new for new, orig in enumerate(kept_vars)}
-    row_map = {orig: new for new, orig in enumerate(kept_rows)}
-    reduced = LinearProgram(
-        n_vars=len(kept_vars),
-        cost=lp.cost[kept_vars],
-        rows=[(row_map[r], var_map[c], v) for r, c, v in surviving],
-        row_lower=new_lo[kept_rows],
-        row_upper=new_hi[kept_rows],
-        var_lower=lp.var_lower[kept_vars],
-        var_upper=lp.var_upper[kept_vars],
-        names=[lp.names[j] for j in kept_vars] if lp.names else None,
-        offset=offset,
-    )
-    return PresolveResult(reduced, False, fixed, kept_vars, kept_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +526,11 @@ def write_lp_text(lp: LinearProgram, path) -> None:
             parts.append(f"{sign} {abs(v):.17g} {vname(j)}")
         return " ".join(parts) if parts else "0 " + vname(0)
 
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c, v in lp.rows:
-        by_row.setdefault(r, []).append((c, v))
-
+    A = lp.matrix()
     lines = ["Minimize", " obj: " + terms(list(enumerate(lp.cost))), "Subject To"]
     for r in range(lp.n_rows):
-        body = terms(by_row.get(r, []))
+        span = slice(A.indptr[r], A.indptr[r + 1])
+        body = terms(zip(A.indices[span], A.data[span]))
         lo, hi = lp.row_lower[r], lp.row_upper[r]
         if lo == hi:
             lines.append(f" r{r}: {body} = {lo:.17g}")

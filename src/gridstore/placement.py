@@ -375,13 +375,19 @@ def greedy_placement(
     if epsilon_prime <= 0:
         raise ValidationError("epsilon_prime must be positive")
 
-    memo: dict[frozenset, SubsetEvaluation] = {}
+    # one verdict per subset: an evaluation, or the infeasibility that ended it
+    memo: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible] = {}
 
     def evaluate(nodes: frozenset) -> SubsetEvaluation:
         if nodes not in memo:
-            memo[nodes] = evaluate_subset(
-                network, scenario_set, nodes, weights, dispatch, backend, jobs
-            )
+            try:
+                memo[nodes] = evaluate_subset(
+                    network, scenario_set, nodes, weights, dispatch, backend, jobs
+                )
+            except AllScenariosInfeasible as exc:
+                memo[nodes] = exc
+        if isinstance(memo[nodes], AllScenariosInfeasible):
+            raise memo[nodes]
         return memo[nodes]
 
     current = frozenset(

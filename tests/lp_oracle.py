@@ -83,7 +83,7 @@ def oracle_solve(lp: LinearProgram, tol: float = FEAS_TOL):
     pts = enumerate_vertices(lp, tol)
     if len(pts) == 0:
         return "infeasible", None
-    objs = pts @ lp.cost + lp.offset
+    objs = pts @ lp.cost
     return "optimal", float(objs.min())
 
 
@@ -114,7 +114,7 @@ def random_bounded_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int
     lo = rng.uniform(-4.0, 0.0, n)
     hi = lo + rng.uniform(0.5, 5.0, n)
     cost = rng.normal(0.0, 2.0, n).round(3)
-    rows = []
+    A = np.zeros((m, n))
     row_lo = np.empty(m)
     row_hi = np.empty(m)
     center = (lo + hi) / 2
@@ -124,9 +124,7 @@ def random_bounded_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int
         if not keep.any():
             keep[int(rng.integers(n))] = True
         coefs = np.where(keep, coefs, 0.0)
-        for j in range(n):
-            if coefs[j] != 0.0:
-                rows.append((r, j, float(coefs[j])))
+        A[r] = coefs
         mid = float(coefs @ center)
         kind = rng.random()
         if kind < 0.25:  # equality
@@ -143,7 +141,7 @@ def random_bounded_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int
     return LinearProgram(
         n_vars=n,
         cost=cost,
-        rows=rows,
+        A=A,
         row_lower=row_lo,
         row_upper=row_hi,
         var_lower=lo,

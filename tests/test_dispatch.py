@@ -51,6 +51,99 @@ def test_lp_shape_two_bus_one_step_storage():
     assert prog.n_vars == 6
 
 
+INF = np.inf
+
+# 2 buses, T=2, storage at bus 1, curtailment on, initial SOC pinned at half:
+# config, then the dense A with its row bounds, then cost and variable bounds
+LAYOUTS = {
+    "sized": (
+        dict(storage_energy_cost=200.0, storage_power_cost=20.0),
+        # columns: pg0 pg1 | ps0 ps1 | th0 th1 | s_bar | ps_bar | s0 | cur0 cur1
+        [
+            # nodal balance at (t, bus) = (0,0) (0,1) (1,0) (1,1)
+            ([-1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0], 0.5, 0.5),
+            ([0, 0, -1, 0, 2, 0, 0, 0, 0, 1, 0], -1.0, -1.0),
+            ([0, -1, 0, 0, 0, -2, 0, 0, 0, 0, 0], 0.0, 0.0),
+            ([0, 0, 0, -1, 0, 2, 0, 0, 0, 0, 1], -3.0, -3.0),
+            # line flow at t = 0, 1 (the from end is the slack)
+            ([0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0], -3, 3),
+            ([0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0], -3, 3),
+            # ramp pg1 - pg0
+            ([-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], -1, 1),
+            # s0 <= s_bar, s0 = s_bar / 2
+            ([0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0], -INF, 0),
+            ([0, 0, 0, 0, 0, 0, -0.5, 0, 1, 0, 0], 0, 0),
+            # soc after step 1, then step 2: >= 0, <= s_bar
+            ([0, 0, -0.5, 0, 0, 0, 0, 0, 1, 0, 0], 0, INF),
+            ([0, 0, -0.5, 0, 0, 0, -1, 0, 1, 0, 0], -INF, 0),
+            ([0, 0, -0.5, -0.5, 0, 0, 0, 0, 1, 0, 0], 0, INF),
+            ([0, 0, -0.5, -0.5, 0, 0, -1, 0, 1, 0, 0], -INF, 0),
+            # ps(t) - ps_bar <= 0 <= ps(t) + ps_bar at t = 0, 1
+            ([0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0], -INF, 0),
+            ([0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0], 0, INF),
+            ([0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0], -INF, 0),
+            ([0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], 0, INF),
+            # zero net storage energy
+            ([0, 0, 0.5, 0.5, 0, 0, 0, 0, 0, 0, 0], 0, 0),
+        ],
+        [5, 5, 0, 0, 0, 0, 200, 20, 0, 5000, 5000],
+        [0, 0, -INF, -INF, -INF, -INF, 0, 0, 0, 0, 0],
+        [8, 8, INF, INF, INF, INF, INF, INF, INF, 2, 1],
+    ),
+    "fixed": (
+        dict(s_bar_fixed=(3.0,), ps_bar_fixed=(1.5,)),
+        # columns: pg0 pg1 | ps0 ps1 | th0 th1 | s0 | cur0 cur1
+        [
+            ([-1, 0, 0, 0, -2, 0, 0, 0, 0], 0.5, 0.5),
+            ([0, 0, -1, 0, 2, 0, 0, 1, 0], -1.0, -1.0),
+            ([0, -1, 0, 0, 0, -2, 0, 0, 0], 0.0, 0.0),
+            ([0, 0, 0, -1, 0, 2, 0, 0, 1], -3.0, -3.0),
+            ([0, 0, 0, 0, -2, 0, 0, 0, 0], -3, 3),
+            ([0, 0, 0, 0, 0, -2, 0, 0, 0], -3, 3),
+            ([-1, 1, 0, 0, 0, 0, 0, 0, 0], -1, 1),
+            # s0 = 3 / 2
+            ([0, 0, 0, 0, 0, 0, 1, 0, 0], 1.5, 1.5),
+            # soc after step 1, then step 2: >= 0, <= 3
+            ([0, 0, -0.5, 0, 0, 0, 1, 0, 0], 0, INF),
+            ([0, 0, -0.5, 0, 0, 0, 1, 0, 0], -INF, 3),
+            ([0, 0, -0.5, -0.5, 0, 0, 1, 0, 0], 0, INF),
+            ([0, 0, -0.5, -0.5, 0, 0, 1, 0, 0], -INF, 3),
+            ([0, 0, 0.5, 0.5, 0, 0, 0, 0, 0], 0, 0),
+        ],
+        [5, 5, 0, 0, 0, 0, 0, 5000, 5000],
+        [0, 0, -1.5, -1.5, -INF, -INF, 0, 0, 0],
+        [8, 8, 1.5, 1.5, INF, INF, 3, 2, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(LAYOUTS))
+def test_lp_layout_pinned(variant):
+    caps, rows, cost, var_lower, var_upper = LAYOUTS[variant]
+    net = Network(
+        buses=[Bus(0, is_slack=True), Bus(1)],
+        lines=[Line(0, 1, 0.5, 3.0)],  # weight 1/x = 2, |flow| <= 3
+        generators=[Generator(bus=0, cost=10.0, p_max=8.0, ramp_limit=1.0)],
+        renewables=[RenewableSite(bus=1, p_max=4.0)],
+    )
+    scen = Scenario(
+        dt_hours=0.5,
+        renewable=[[2.0], [1.0]],
+        load=[[0.0, 3.0], [0.0, 4.0]],
+        interchange=[[0.5, 0.0], [0.0, 0.0]],
+    )
+    cfg = DispatchConfig(
+        storage_nodes={1}, allow_curtailment=True, initial_soc_free=False, **caps
+    )
+    prog, _ = build_dispatch_lp(net, scen, cfg)
+    assert np.array_equal(prog.matrix().toarray(), [r[0] for r in rows])
+    assert list(prog.row_lower) == [r[1] for r in rows]
+    assert list(prog.row_upper) == [r[2] for r in rows]
+    assert list(prog.cost) == cost
+    assert list(prog.var_lower) == var_lower
+    assert list(prog.var_upper) == var_upper
+
+
 def test_storage_free_flat_load():
     net = one_bus_network(ramp=10.0, with_site=False)
     scen = Scenario(dt_hours=DT, renewable=np.zeros((2, 0)), load=[[5.0], [5.0]])
@@ -190,22 +283,24 @@ def test_single_period_equals_plain_dcopf():
         cost = np.array([g.cost * scen.dt_hours for g in gens] + [0.0] * len(non_slack))
         lo = np.array([0.0] * len(gens) + [-np.inf] * len(non_slack))
         hi = np.array([g.p_max for g in gens] + [np.inf] * len(non_slack))
-        prog = LinearProgram(n_vars=nv, cost=cost, var_lower=lo, var_upper=hi)
         lap = build_laplacian(net)
         tpos = {b: len(gens) + k for k, b in enumerate(non_slack)}
+        A = np.zeros((n, nv))
+        rhs = np.zeros(n)
         for i in range(n):
-            entries = {}
             for j in non_slack:
                 if lap[i, j] != 0.0:
-                    entries[tpos[j]] = lap[i, j]
+                    A[i, tpos[j]] = lap[i, j]
             for g, gen in enumerate(gens):
                 if gen.bus == i:
-                    entries[g] = -1.0
-            rhs = float(-scen.load[0, i] + scen.interchange[0, i])
+                    A[i, g] = -1.0
+            rhs[i] = float(-scen.load[0, i] + scen.interchange[0, i])
             for s, site in enumerate(net.renewables):
                 if site.bus == i:
-                    rhs += float(scen.renewable[0, s])
-            prog.add_row(entries, rhs, rhs)
+                    rhs[i] += float(scen.renewable[0, s])
+        prog = LinearProgram(
+            n_vars=nv, cost=cost, A=A, row_lower=rhs, row_upper=rhs, var_lower=lo, var_upper=hi
+        )
         direct = lp_solve(prog)
         assert direct.objective == pytest.approx(sol.objective, abs=1e-8)
 

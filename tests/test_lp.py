@@ -6,9 +6,9 @@ from gridstore.lp import (
     LinearProgram,
     Status,
     default_iter_limit,
-    presolve_trivial,
     solve,
     solve_highs,
+    solve_highs_ipm,
     solve_with_backend,
     write_lp_text,
 )
@@ -32,15 +32,25 @@ def test_unbounded_direction():
 
 
 def test_conflicting_rows_infeasible():
-    lp = LinearProgram(n_vars=1, cost=[0.0])
-    lp.add_row({0: 1.0}, 2.0, np.inf)  # x >= 2
-    lp.add_row({0: 1.0}, -np.inf, 1.0)  # x <= 1
+    lp = LinearProgram(
+        n_vars=1,
+        cost=[0.0],
+        A=[[1.0], [1.0]],
+        row_lower=[2.0, -np.inf],  # x >= 2
+        row_upper=[np.inf, 1.0],  # x <= 1
+    )
     assert solve(lp).status is Status.INFEASIBLE
 
 
 def test_degenerate_tie_objective_only():
-    lp = LinearProgram(n_vars=2, cost=[1.0, 1.0], var_lower=[0.0, 0.0])
-    lp.add_row({0: 1.0, 1: 1.0}, 1.0, np.inf)
+    lp = LinearProgram(
+        n_vars=2,
+        cost=[1.0, 1.0],
+        A=[[1.0, 1.0]],
+        row_lower=[1.0],
+        row_upper=[np.inf],
+        var_lower=[0.0, 0.0],
+    )
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
@@ -48,8 +58,14 @@ def test_degenerate_tie_objective_only():
 
 def test_equality_row_and_free_variable():
     # free variable pinned by an equality; loading the dearer variable is useless
-    lp = LinearProgram(n_vars=2, cost=[1.0, 2.0], var_lower=[-np.inf, 0.0])
-    lp.add_row({0: 1.0, 1: 1.0}, 3.0, 3.0)
+    lp = LinearProgram(
+        n_vars=2,
+        cost=[1.0, 2.0],
+        A=[[1.0, 1.0]],
+        row_lower=[3.0],
+        row_upper=[3.0],
+        var_lower=[-np.inf, 0.0],
+    )
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-8)
@@ -123,7 +139,7 @@ def test_relaxation_never_hurts():
         widened = LinearProgram(
             n_vars=lp.n_vars,
             cost=lp.cost.copy(),
-            rows=list(lp.rows),
+            A=lp.A.copy(),
             row_lower=lp.row_lower - 0.5,
             row_upper=lp.row_upper + 0.5,
             var_lower=lp.var_lower - 0.5,
@@ -156,55 +172,6 @@ def test_validate_rejects_bad_bounds():
         lp.validate()
 
 
-# -- presolve ----------------------------------------------------------------
-
-
-def test_presolve_folds_fixed_variable_cost():
-    lp = LinearProgram(n_vars=1, cost=[2.0], var_lower=[3.0], var_upper=[3.0])
-    res = presolve_trivial(lp)
-    assert not res.infeasible
-    assert res.lp.offset == pytest.approx(6.0)
-    assert res.lp.n_vars == 0
-    assert res.fixed == {0: 3.0}
-
-
-def test_presolve_removes_satisfied_empty_row():
-    lp = LinearProgram(n_vars=1, cost=[1.0], var_lower=[0.0], var_upper=[1.0])
-    lp.add_row({}, 0.0, 0.0)
-    res = presolve_trivial(lp)
-    assert not res.infeasible
-    assert res.lp.n_rows == 0
-
-
-def test_presolve_flags_conflicting_empty_row():
-    lp = LinearProgram(n_vars=1, cost=[1.0], var_lower=[0.0], var_upper=[1.0])
-    lp.add_row({}, 1.0, np.inf)  # demands activity >= 1 with no entries
-    res = presolve_trivial(lp)
-    assert res.infeasible
-
-
-def test_presolve_preserves_optimum():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        lp = random_bounded_lp(rng)
-        # pin a couple of variables
-        for j in range(min(2, lp.n_vars)):
-            v = float(rng.uniform(lp.var_lower[j], lp.var_upper[j]))
-            lp.var_lower[j] = v
-            lp.var_upper[j] = v
-        before = solve(lp)
-        res = presolve_trivial(lp)
-        if res.infeasible:
-            assert before.status is Status.INFEASIBLE
-            continue
-        after = solve(res.lp)
-        assert after.status == before.status
-        if before.status is Status.OPTIMAL:
-            assert after.objective == pytest.approx(before.objective, abs=1e-7)
-            lifted = res.lift(after.x)
-            assert lifted.shape == before.x.shape
-
-
 # -- external backend --------------------------------------------------------
 
 
@@ -219,6 +186,26 @@ def test_highs_agrees_with_simplex():
             assert mine.objective == pytest.approx(ext.objective, abs=1e-6)
 
 
+def test_highs_ipm_reports_iterations():
+    # dense rows and coupled boxes leave HiGHS presolve nothing to remove
+    rng = np.random.default_rng(8)
+    n, m = 30, 20
+    A = rng.uniform(0.5, 1.5, (m, n))
+    lp = LinearProgram(
+        n_vars=n,
+        cost=rng.uniform(-1.0, 1.0, n),
+        A=A,
+        row_lower=np.full(m, -np.inf),
+        row_upper=A.sum(axis=1) * 0.5,
+        var_lower=np.zeros(n),
+        var_upper=np.ones(n),
+    )
+    sol = solve_highs_ipm(lp)
+    assert sol.status is Status.OPTIMAL
+    assert sol.iterations > 0
+    assert sol.objective == pytest.approx(solve_highs(lp).objective, abs=1e-6)
+
+
 def test_backend_registry():
     lp = lp_min_x_in_box()
     for backend in ("simplex", "highs"):
@@ -230,10 +217,14 @@ def test_backend_registry():
 
 def test_lp_text_dump(tmp_path):
     lp = LinearProgram(
-        n_vars=2, cost=[1.0, -2.0], var_lower=[0.0, -1.0], var_upper=[4.0, np.inf]
+        n_vars=2,
+        cost=[1.0, -2.0],
+        A=[[1.0, 2.0], [1.0, -1.0]],
+        row_lower=[-np.inf, 1.0],
+        row_upper=[5.0, 1.0],
+        var_lower=[0.0, -1.0],
+        var_upper=[4.0, np.inf],
     )
-    lp.add_row({0: 1.0, 1: 2.0}, -np.inf, 5.0)
-    lp.add_row({0: 1.0, 1: -1.0}, 1.0, 1.0)
     path = tmp_path / "dump.lp"
     write_lp_text(lp, path)
     text = path.read_text()

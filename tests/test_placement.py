@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gridstore import placement
 from gridstore.dispatch import DispatchConfig, DispatchSolution, Scenario, lookahead_dispatch
 from gridstore.errors import AllScenariosInfeasible, ValidationError, ZeroFluctuationDenominator
 from gridstore.lp import Status
@@ -10,6 +11,7 @@ from gridstore.network import Bus, Generator, Line, Network, RenewableSite
 from gridstore.placement import (
     CapacityStats,
     PerfWeights,
+    SubsetEvaluation,
     baseline_nodes,
     candidate_thresholds,
     evaluate_fixed_placement,
@@ -169,6 +171,35 @@ def test_scan_picks_largest_improving_gamma():
     gamma, ev = hit
     assert gamma == pytest.approx(0.1)
     assert set(ev.nodes) == {0, 1}
+
+
+def test_greedy_dispatches_each_subset_once(monkeypatch):
+    # {0} is infeasible and is the gamma = 1 candidate in both rounds; its
+    # verdict is remembered, so the second round does not dispatch it again
+    caps = {
+        frozenset({0, 1, 2, 3}): ([4.0, 3.0, 2.0, 1.0], 1.0),
+        frozenset({0, 1}): ([4.0, 3.0], 0.5),
+    }
+    calls = []
+
+    def counting_stub(network, scenario_set, nodes, weights, dispatch, backend, jobs):
+        nodes = frozenset(nodes)
+        calls.append(nodes)
+        if nodes not in caps:
+            raise AllScenariosInfeasible(f"subset {sorted(nodes)}")
+        s_bar, p = caps[nodes]
+        return SubsetEvaluation(
+            tuple(sorted(nodes)), stats_from_caps(s_bar, sorted(nodes)), p, p, p, 0
+        )
+
+    monkeypatch.setattr(placement, "evaluate_subset", counting_stub)
+    net = Network(buses=[Bus(i, is_slack=(i == 0)) for i in range(4)], lines=[])
+    scen = Scenario(dt_hours=DT, renewable=np.zeros((1, 0)), load=np.zeros((1, 4)))
+    state = greedy_placement(net, ScenarioSet([scen]), epsilon=0.01)
+    assert calls == [frozenset({0, 1, 2, 3}), frozenset({0}), frozenset({0, 1})]
+    assert [r.nodes for r in state.rounds] == [(0, 1, 2, 3), (0, 1)]
+    assert [r.gamma for r in state.rounds] == [None, 0.75]
+    assert state.perf_value == 0.5
 
 
 # -- chain instance: greedy vs exhaustive ------------------------------------
