@@ -12,6 +12,13 @@ charge kept inside [0, s_bar] at every step boundary via the running sum of
 injections, |ps| <= ps_bar, and zero net storage energy over the horizon.
 Generation cost is integrated over time (multiplied by the step length) so
 it shares units with the capacity cost terms.
+
+For a fixed network, storage node set and step grid the LP differs between
+scenarios only in the nodal-balance right-hand side and, with curtailment,
+the curtailment upper bounds.  A sweep therefore assembles it once with
+:func:`build_dispatch_lp` and re-targets that program at each further
+scenario with :func:`retarget_dispatch_lp`; :func:`solve_dispatch_lp` then
+solves and decodes either one.
 """
 
 from __future__ import annotations
@@ -98,10 +105,16 @@ class DispatchIndex:
     (T, n_sites, empty without curtailment).  Each attribute holds its
     block's column numbers in that shape, so ``x[idx.pg]`` is the generator
     schedule.  Storage columns follow ``storage``, the sorted node list.
+    ``balance`` holds the (T, n_buses) row numbers of the nodal balance, set
+    by :func:`build_dispatch_lp`; ``T`` and ``dt_hours`` are the step grid
+    the LP was built for.
     """
+
+    balance: np.ndarray
 
     def __init__(self, network: Network, scenario: Scenario, config: DispatchConfig):
         self.T = T = scenario.n_steps
+        self.dt_hours = scenario.dt_hours
         self.n_gen = len(network.generators)
         self.n_buses = network.n_buses
         self.slack = network.slack
@@ -204,6 +217,14 @@ def _check_shapes(network: Network, scenario: Scenario, config: DispatchConfig) 
             raise InconsistentDimensions(f"{name} length does not match storage node count")
 
 
+def _balance_rhs(network: Network, scenario: Scenario) -> np.ndarray:
+    """(T, n_buses) fixed injections: renewables - load + interchange."""
+    site_bus = np.array([site.bus for site in network.renewables], dtype=int)
+    rhs = scenario.interchange - scenario.load
+    np.add.at(rhs, (slice(None), site_bus), scenario.renewable)  # site by site, in order
+    return rhs
+
+
 def build_dispatch_lp(
     network: Network, scenario: Scenario, config: DispatchConfig
 ) -> tuple[LinearProgram, DispatchIndex]:
@@ -245,9 +266,8 @@ def build_dispatch_lp(
     rows = _Rows()
 
     # nodal balance: L theta - pg - ps (+ curtail) = p_r - load + interchange
-    rhs = scenario.interchange - scenario.load
-    np.add.at(rhs, (slice(None), site_bus), scenario.renewable)  # site by site, in order
-    balance = rows.add(rhs, rhs)  # (T, n_buses)
+    rhs = _balance_rhs(network, scenario)
+    idx.balance = balance = rows.add(rhs, rhs)  # (T, n_buses)
     lap = build_laplacian(network)
     bus, pos = np.nonzero(lap[:, idx.non_slack])
     rows.set(balance[:, bus], idx.theta[:, pos], lap[bus, idx.non_slack[pos]])
@@ -313,6 +333,44 @@ def build_dispatch_lp(
         rows.set(rows.add(0.0, 0.0), idx.ps, dt)
 
     return rows.program(cost, lower, upper), idx
+
+
+def retarget_dispatch_lp(
+    network: Network,
+    scenario: Scenario,
+    config: DispatchConfig,
+    prog: LinearProgram,
+    idx: DispatchIndex,
+) -> LinearProgram:
+    """The LP ``build_dispatch_lp`` returns for ``scenario``, from one built for another.
+
+    ``prog`` and ``idx`` come from ``build_dispatch_lp`` on the same network
+    and config.  The result shares ``A``, ``cost`` and ``var_lower`` with
+    ``prog`` and gets fresh balance-row bounds, plus fresh curtailment upper
+    bounds when curtailment is on; ``prog`` itself is left unchanged.
+    """
+    _check_shapes(network, scenario, config)
+    if scenario.n_steps != idx.T or scenario.dt_hours != idx.dt_hours:
+        raise InconsistentDimensions(
+            f"scenario has {scenario.n_steps} steps of {scenario.dt_hours} h, "
+            f"the LP was built for {idx.T} of {idx.dt_hours} h"
+        )
+    rhs = _balance_rhs(network, scenario)
+    row_lower, row_upper = prog.row_lower.copy(), prog.row_upper.copy()
+    row_lower[idx.balance] = row_upper[idx.balance] = rhs
+    var_upper = prog.var_upper
+    if idx.curtail_on:
+        var_upper = var_upper.copy()
+        var_upper[idx.curtail] = scenario.renewable
+    return LinearProgram(
+        n_vars=prog.n_vars,
+        cost=prog.cost,
+        A=prog.A,
+        row_lower=row_lower,
+        row_upper=row_upper,
+        var_lower=prog.var_lower,
+        var_upper=var_upper,
+    )
 
 
 def decode_solution(
@@ -383,6 +441,21 @@ def lookahead_dispatch(
     satisfies the constraints, SolverFailure on any other non-optimal stop.
     """
     prog, idx = build_dispatch_lp(network, scenario, config)
+    return solve_dispatch_lp(network, scenario, config, prog, idx, backend)
+
+
+def solve_dispatch_lp(
+    network: Network,
+    scenario: Scenario,
+    config: DispatchConfig,
+    prog: LinearProgram,
+    idx: DispatchIndex,
+    backend: str = "highs",
+) -> DispatchSolution:
+    """Solve an assembled (or re-targeted) horizon LP and decode the dispatch.
+
+    Raises as :func:`lookahead_dispatch` does.
+    """
     sol = lpmod.solve_with_backend(prog, backend)
     if sol.status is Status.INFEASIBLE:
         raise InfeasibleScenario(scenario.label or "<unnamed>")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +24,10 @@ from .dispatch import (
     DispatchConfig,
     DispatchSolution,
     Scenario,
-    lookahead_dispatch,
+    build_dispatch_lp,
     renewable_fluctuation_energy,
+    retarget_dispatch_lp,
+    solve_dispatch_lp,
 )
 from .errors import (
     AllScenariosInfeasible,
@@ -39,6 +42,7 @@ logger = logging.getLogger(__name__)
 
 _ZERO_CAP_TOL = 1e-9
 _MAX_INFEASIBLE_FRACTION = 0.10
+_CHUNK = 2  # scenarios per pool task, each assembling its LP once
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,28 @@ def normalized_energy_capacity(
 # ---------------------------------------------------------------------------
 
 
-def _dispatch_task(args):
-    network, scenario, config, backend = args
-    try:
-        return ("ok", lookahead_dispatch(network, scenario, config, backend))
-    except InfeasibleScenario:
-        return ("infeasible", scenario.label)
+def _dispatch_each(
+    network: Network, scenarios: list[Scenario], config: DispatchConfig, backend: str
+):
+    """Yield ("ok", solution) or ("infeasible", label) per scenario, in order.
+
+    The LP is assembled on the first scenario and re-targeted at the others.
+    """
+    first = idx = None
+    for scen in scenarios:
+        if first is None:
+            first, idx = build_dispatch_lp(network, scen, config)
+            prog = first
+        else:
+            prog = retarget_dispatch_lp(network, scen, config, first, idx)
+        try:
+            yield "ok", solve_dispatch_lp(network, scen, config, prog, idx, backend)
+        except InfeasibleScenario:
+            yield "infeasible", scen.label
+
+
+def _dispatch_chunk(args) -> list:
+    return list(_dispatch_each(*args))
 
 
 def solve_all_scenarios(
@@ -147,12 +167,16 @@ def solve_all_scenarios(
 ) -> tuple[list[DispatchSolution], list[int]]:
     """Dispatch every scenario; returns (solutions, indices of infeasible ones).
 
+    The dispatch LP is assembled once per sweep, or once per chunk of two
+    scenarios with ``jobs > 1``, and re-targeted at each further scenario by
+    changing only its balance right-hand side and curtailment bounds.
+
     Infeasible scenarios are dropped with a warning as long as they stay
     under 10% of the set; beyond that the sweep aborts, since sizing from a
     heavily censored collection would be misleading.
     """
-    tasks = [(network, scen, config, backend) for scen in scenario_set]
-    n = len(tasks)
+    scenarios = scenario_set.scenarios
+    n = len(scenarios)
     abort_at = max(1, int(np.ceil(n * _MAX_INFEASIBLE_FRACTION)))
 
     progress_every = n // 4 if n >= 100 else 0
@@ -176,17 +200,22 @@ def solve_all_scenarios(
         return solutions, dropped
 
     if jobs > 1 and n > 1:
+        chunks = [
+            (network, scenarios[i : i + _CHUNK], config, backend) for i in range(0, n, _CHUNK)
+        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             try:
-                solutions, dropped = gather(pool.map(_dispatch_task, tasks, chunksize=2))
+                solutions, dropped = gather(
+                    chain.from_iterable(pool.map(_dispatch_chunk, chunks))
+                )
             except AllScenariosInfeasible:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
     else:
-        solutions, dropped = gather(_dispatch_task(t) for t in tasks)
+        solutions, dropped = gather(_dispatch_each(network, scenarios, config, backend))
 
     if dropped:
-        labels = [scenario_set.scenarios[i].label for i in dropped]
+        labels = [scenarios[i].label for i in dropped]
         logger.warning(
             "dropping %d/%d infeasible scenarios: %s", len(dropped), n, ", ".join(labels)
         )
@@ -201,6 +230,15 @@ class SubsetEvaluation:
     power_metric: float
     perf: float
     dropped: int
+
+    def metrics(self) -> dict:
+        """The metrics :func:`evaluate_fixed_placement` reports."""
+        return {
+            "energy_metric": self.energy_metric,
+            "power_metric": self.power_metric,
+            "perf": self.perf,
+            "dropped": self.dropped,
+        }
 
 
 def _metric_or_zero(metric_fn, solutions, scenarios, stats) -> float:
@@ -257,12 +295,7 @@ def evaluate_fixed_placement(
     if not nodes:
         raise ValidationError("fixed placement needs at least one node")
     ev = evaluate_subset(network, scenario_set, nodes, weights, dispatch, backend, jobs)
-    return ev.stats, {
-        "energy_metric": ev.energy_metric,
-        "power_metric": ev.power_metric,
-        "perf": ev.perf,
-        "dropped": ev.dropped,
-    }
+    return ev.stats, ev.metrics()
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +338,8 @@ def threshold_scan(
     ``evaluate(frozenset) -> SubsetEvaluation`` runs the full re-dispatch.
     Candidates are tried from the largest gamma down and the first winner is
     returned, which is exactly the max over improving gammas.  Candidates
-    whose sweep aborts on infeasibility are skipped.  Returns
+    whose sweep aborts on infeasibility are skipped.  Every rejected
+    candidate is logged at info level with its reason.  Returns
     (gamma, SubsetEvaluation) or None when no threshold improves.
     """
     for gamma, keep in candidate_thresholds(stats):
@@ -318,6 +352,13 @@ def threshold_scan(
             continue
         if ev.perf < current_perf - epsilon:
             return gamma, ev
+        logger.info(
+            "threshold %.4f rejected: subset %s perf %.6f does not beat %.6f",
+            gamma,
+            sorted(keep),
+            ev.perf,
+            current_perf - epsilon,
+        )
     return None
 
 
@@ -340,6 +381,8 @@ class PlacementState:
     rounds: list[RoundRecord]
     epsilon: float
     epsilon_prime: float
+    # every subset greedy evaluated: its evaluation, or the infeasibility that ended it
+    verdicts: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible]
 
     @property
     def iteration_history(self) -> list[tuple]:
@@ -423,6 +466,7 @@ def greedy_placement(
         rounds=rounds,
         epsilon=eps,
         epsilon_prime=epsilon_prime,
+        verdicts=memo,
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dispatch import lookahead_dispatch, verify_dispatch
-from .errors import ValidationError
+from .errors import AllScenariosInfeasible, ValidationError
 from .fileio import load_network_document
 from .placement import (
     PlacementState,
@@ -88,9 +88,15 @@ def run_place(cfg: RunConfig) -> Report:
             baseline = {"note": "no renewable or intertie buses to place at"}
         else:
             try:
-                stats, metrics = evaluate_fixed_placement(
-                    network, sset, nodes, cfg.weights, cfg.dispatch, cfg.solver, cfg.jobs
-                )
+                verdict = state.verdicts.get(nodes)  # greedy may have dispatched it already
+                if verdict is None:
+                    stats, metrics = evaluate_fixed_placement(
+                        network, sset, nodes, cfg.weights, cfg.dispatch, cfg.solver, cfg.jobs
+                    )
+                elif isinstance(verdict, AllScenariosInfeasible):
+                    raise verdict
+                else:
+                    stats, metrics = verdict.stats, verdict.metrics()
                 greedy_energy = state.rounds[-1].energy_metric
                 greedy_power = state.rounds[-1].power_metric
                 baseline = {

@@ -270,6 +270,7 @@ def test_criterion_5_greedy_vs_exhaustive():
 # -- criterion 6: full-network qualitative replication --------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_three_area_pruning():
     t0 = time.perf_counter()
     doc = import_matpower_document(CASES / "rts96_3area.m")

@@ -7,6 +7,7 @@ from gridstore.dispatch import (
     build_dispatch_lp,
     lookahead_dispatch,
     renewable_fluctuation_energy,
+    retarget_dispatch_lp,
     verify_dispatch,
 )
 from gridstore.errors import InconsistentDimensions, InfeasibleScenario
@@ -380,6 +381,60 @@ def test_interchange_is_fixed_injection():
     scen = Scenario(dt_hours=DT, renewable=np.zeros((2, 0)), load=[[5.0], [5.0]], interchange=inter)
     sol = lookahead_dispatch(net, scen, DispatchConfig(), backend="simplex")
     assert sol.pg.ravel() == pytest.approx([3.0, 3.0], abs=1e-8)
+
+
+def lp_bytes(prog) -> list[tuple]:
+    arrays = (
+        prog.A.indptr,
+        prog.A.indices,
+        prog.A.data,
+        prog.row_lower,
+        prog.row_upper,
+        prog.cost,
+        prog.var_lower,
+        prog.var_upper,
+    )
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("storage", ["everywhere", "subset", "none"])
+@pytest.mark.parametrize("caps", ["sized", "fixed", "fixed_energy_only"])
+@pytest.mark.parametrize("curtail", [False, True])
+@pytest.mark.parametrize("soc_free", [True, False])
+def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free):
+    rng = np.random.default_rng(17)
+    net = random_network(rng, n_buses=5, flow_limits=True, n_sites=2)
+    scens = [random_scenario(rng, net, label=f"s{i}") for i in range(5)]
+    nodes = {"everywhere": range(5), "subset": {1, 3}, "none": ()}[storage]
+    k = len(nodes)
+    fixed = {
+        "sized": {},
+        "fixed": dict(s_bar_fixed=(2.0,) * k, ps_bar_fixed=(1.0,) * k),
+        "fixed_energy_only": dict(s_bar_fixed=(2.0,) * k),
+    }[caps]
+    cfg = DispatchConfig(
+        storage_nodes=frozenset(nodes),
+        allow_curtailment=curtail,
+        initial_soc_free=soc_free,
+        **fixed,
+    )
+    first, idx = build_dispatch_lp(net, scens[0], cfg)
+    before = lp_bytes(first)
+    for scen in scens:
+        fresh, _ = build_dispatch_lp(net, scen, cfg)
+        assert lp_bytes(retarget_dispatch_lp(net, scen, cfg, first, idx)) == lp_bytes(fresh)
+    assert lp_bytes(first) == before  # the template is left as built
+
+
+@pytest.mark.parametrize("field", ["n_steps", "dt_hours"])
+def test_retarget_rejects_other_step_grid(field):
+    rng = np.random.default_rng(4)
+    net = random_network(rng)
+    cfg = DispatchConfig(storage_nodes={0})
+    prog, idx = build_dispatch_lp(net, random_scenario(rng, net, n_steps=6), cfg)
+    other = {"n_steps": dict(n_steps=7), "dt_hours": dict(dt_hours=0.25)}[field]
+    with pytest.raises(InconsistentDimensions):
+        retarget_dispatch_lp(net, random_scenario(rng, net, **other), cfg, prog, idx)
 
 
 def test_rts_sized_case_builds_and_solves():

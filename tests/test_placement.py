@@ -1,9 +1,12 @@
 import itertools
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridstore import placement
+from gridstore import placement, runners
+from gridstore.config import load_run_config
 from gridstore.dispatch import DispatchConfig, DispatchSolution, Scenario, lookahead_dispatch
 from gridstore.errors import AllScenariosInfeasible, ValidationError, ZeroFluctuationDenominator
 from gridstore.lp import Status
@@ -20,6 +23,7 @@ from gridstore.placement import (
     normalized_energy_capacity,
     normalized_power_capacity,
     perf,
+    solve_all_scenarios,
     threshold_scan,
 )
 from gridstore.scenarios import ScenarioSet, SyntheticParams, generate_synthetic
@@ -171,6 +175,21 @@ def test_scan_picks_largest_improving_gamma():
     gamma, ev = hit
     assert gamma == pytest.approx(0.1)
     assert set(ev.nodes) == {0, 1}
+
+
+def test_scan_logs_candidates_that_do_not_improve(caplog):
+    stats = stats_from_caps([10.0, 1.0])
+
+    class Ev:
+        perf = 0.99
+
+    with caplog.at_level(logging.INFO, logger="gridstore.placement"):
+        hit = threshold_scan(stats, frozenset({0, 1, 9}), PerfWeights(), 0.05, 1.0, lambda s: Ev)
+    assert hit is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "threshold 1.0000 rejected: subset [0] perf 0.990000 does not beat 0.950000",
+        "threshold 0.1000 rejected: subset [0, 1] perf 0.990000 does not beat 0.950000",
+    ]
 
 
 def test_greedy_dispatches_each_subset_once(monkeypatch):
@@ -365,6 +384,87 @@ def test_parallel_sweep_matches_serial():
     assert serial.perf_value == parallel.perf_value  # bitwise, not approx
     assert np.array_equal(serial.stats.s_bar_max, parallel.stats.s_bar_max)
     assert np.array_equal(serial.stats.ps_bar_max, parallel.stats.ps_bar_max)
+
+
+@pytest.mark.parametrize("curtail", [False, True])
+def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail):
+    net = chain_network()
+    sset = chain_scenarios(n=5, seed=31)
+    cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
+    assembled = []
+    build = placement.build_dispatch_lp
+
+    def counting_build(*args):
+        assembled.append(args[1].label)
+        return build(*args)
+
+    monkeypatch.setattr(placement, "build_dispatch_lp", counting_build)
+    solutions, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=1)
+    assert assembled == [sset.scenarios[0].label]
+    assert dropped == [] and len(solutions) == len(sset)
+    for scen, got in zip(sset, solutions):
+        want = lookahead_dispatch(net, scen, cfg, backend="highs")
+        for name in ("s_bar", "ps_bar", "soc"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))  # bitwise
+        assert got.objective == want.objective
+
+
+def quickstart_config(tmp_path, seed):
+    return load_run_config(
+        Path(__file__).resolve().parent.parent / "cases" / "quickstart_place.json",
+        {"seed": seed, "jobs": 1, "out_dir": str(tmp_path)},
+    )
+
+
+def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
+    cfg = quickstart_config(tmp_path, seed=7)  # its baseline {0} is the greedy final set
+    calls = []
+    evaluate = placement.evaluate_subset
+
+    def counting_evaluate(network, scenario_set, nodes, *args):
+        calls.append(frozenset(nodes))
+        return evaluate(network, scenario_set, nodes, *args)
+
+    monkeypatch.setattr(placement, "evaluate_subset", counting_evaluate)
+    report = runners.run_place(cfg)
+    network, base_load = runners.load_network_document(cfg.network_path)
+    sset = runners.build_scenarios(cfg, network, base_load)
+    nodes = placement.baseline_nodes(network, sset)
+    assert nodes in calls and len(calls) == len(set(calls))
+
+    stats, metrics = evaluate_fixed_placement(
+        network, sset, nodes, cfg.weights, cfg.dispatch, cfg.solver, cfg.jobs
+    )
+    assert report.baseline["nodes"] == sorted(nodes)
+    for key in ("energy_metric", "power_metric", "perf"):
+        assert report.baseline[key] == metrics[key]
+    caps = report.baseline["capacities"]
+    assert [row["s_bar_mwh"] for row in caps] == stats.s_bar_max.tolist()
+    assert [row["ps_bar_mw"] for row in caps] == stats.ps_bar_max.tolist()
+
+
+def test_place_baseline_reuses_greedy_infeasibility(monkeypatch, tmp_path):
+    # greedy finds {0} infeasible on the way to {0, 1}; the baseline {0}
+    # then reports the same error record a fresh dispatch would have raised
+    calls = []
+
+    def stub(network, scenario_set, nodes, weights, dispatch, backend, jobs):
+        nodes = frozenset(nodes)
+        calls.append(nodes)
+        if nodes == frozenset({0}):
+            raise AllScenariosInfeasible("3 of 30 scenarios infeasible for storage set [0]")
+        caps = {3: [4.0, 3.0, 2.0], 2: [4.0, 3.0]}[len(nodes)]
+        p = 1.0 if len(nodes) == 3 else 0.5
+        return SubsetEvaluation(
+            tuple(sorted(nodes)), stats_from_caps(caps, sorted(nodes)), p, p, p, 0
+        )
+
+    monkeypatch.setattr(placement, "evaluate_subset", stub)
+    report = runners.run_place(quickstart_config(tmp_path, seed=7))
+    assert calls == [frozenset({0, 1, 2}), frozenset({0}), frozenset({0, 1})]
+    assert report.baseline == {
+        "error": "AllScenariosInfeasible: 3 of 30 scenarios infeasible for storage set [0]"
+    }
 
 
 def test_baseline_nodes_renewables_and_interties():
