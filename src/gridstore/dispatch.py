@@ -438,7 +438,8 @@ def lookahead_dispatch(
     """Build and solve the horizon LP for one scenario.
 
     Raises InfeasibleScenario (with the scenario label) when no dispatch
-    satisfies the constraints, SolverFailure on any other non-optimal stop.
+    satisfies the constraints, SolverFailure (naming the scenario and the
+    backend) on any other non-optimal stop.
     """
     prog, idx = build_dispatch_lp(network, scenario, config)
     return solve_dispatch_lp(network, scenario, config, prog, idx, backend)
@@ -456,11 +457,17 @@ def solve_dispatch_lp(
 
     Raises as :func:`lookahead_dispatch` does.
     """
-    sol = lpmod.solve_with_backend(prog, backend)
+    label = scenario.label or "<unnamed>"
+    try:
+        sol = lpmod.solve_with_backend(prog, backend)
+    except SolverFailure as exc:
+        raise SolverFailure(f"scenario {label} ({backend}): {exc}") from exc
     if sol.status is Status.INFEASIBLE:
-        raise InfeasibleScenario(scenario.label or "<unnamed>")
+        raise InfeasibleScenario(label)
     if sol.status is not Status.OPTIMAL:
-        raise SolverFailure(f"dispatch LP ended with status {sol.status.value}")
+        raise SolverFailure(
+            f"scenario {label} ({backend}): dispatch LP ended with status {sol.status.value}"
+        )
     return decode_solution(network, scenario, config, idx, sol)
 
 

@@ -63,7 +63,15 @@ class SolverFailure(GridstoreError):
 
 
 class AllScenariosInfeasible(GridstoreError):
-    """Too many scenarios are infeasible for the current storage set."""
+    """Too many scenarios are infeasible for the current storage set.
+
+    ``infeasible`` holds the indices of the scenarios found infeasible
+    before the sweep stopped, in increasing order.
+    """
+
+    def __init__(self, message, infeasible=()):
+        super().__init__(message)
+        self.infeasible = tuple(infeasible)
 
 
 class ZeroLoad(GridstoreError):

@@ -14,9 +14,8 @@ the placement plus a fixed charge per occupied site.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -42,7 +41,6 @@ logger = logging.getLogger(__name__)
 
 _ZERO_CAP_TOL = 1e-9
 _MAX_INFEASIBLE_FRACTION = 0.10
-_CHUNK = 2  # scenarios per pool task, each assembling its LP once
 
 
 @dataclass(frozen=True)
@@ -134,28 +132,40 @@ def normalized_energy_capacity(
 # ---------------------------------------------------------------------------
 
 
-def _dispatch_each(
-    network: Network, scenarios: list[Scenario], config: DispatchConfig, backend: str
-):
-    """Yield ("ok", solution) or ("infeasible", label) per scenario, in order.
+def _dispatcher(network: Network, config: DispatchConfig, backend: str):
+    """A function that dispatches one scenario against one storage node set.
 
-    The LP is assembled on the first scenario and re-targeted at the others.
+    It returns ("ok", solution) or ("infeasible", label).  It assembles the
+    LP on its first scenario and re-targets that LP at each later one.
     """
-    first = idx = None
-    for scen in scenarios:
-        if first is None:
-            first, idx = build_dispatch_lp(network, scen, config)
-            prog = first
+    template = None
+
+    def dispatch(scen: Scenario):
+        nonlocal template
+        if template is None:
+            template = build_dispatch_lp(network, scen, config)
+            prog = template[0]
         else:
-            prog = retarget_dispatch_lp(network, scen, config, first, idx)
+            prog = retarget_dispatch_lp(network, scen, config, *template)
         try:
-            yield "ok", solve_dispatch_lp(network, scen, config, prog, idx, backend)
+            return "ok", solve_dispatch_lp(network, scen, config, prog, template[1], backend)
         except InfeasibleScenario:
-            yield "infeasible", scen.label
+            return "infeasible", scen.label
+
+    return dispatch
 
 
-def _dispatch_chunk(args) -> list:
-    return list(_dispatch_each(*args))
+_worker: tuple = ()  # (dispatch, scenarios) in a pool worker, set by _init_worker
+
+
+def _init_worker(network, scenarios, config, backend) -> None:
+    global _worker
+    _worker = (_dispatcher(network, config, backend), scenarios)
+
+
+def _dispatch_index(i: int) -> tuple:
+    dispatch, scenarios = _worker
+    return (i, *dispatch(scenarios[i]))
 
 
 def solve_all_scenarios(
@@ -164,56 +174,74 @@ def solve_all_scenarios(
     config: DispatchConfig,
     backend: str = "highs",
     jobs: int = 1,
+    order=None,
 ) -> tuple[list[DispatchSolution], list[int]]:
     """Dispatch every scenario; returns (solutions, indices of infeasible ones).
 
-    The dispatch LP is assembled once per sweep, or once per chunk of two
-    scenarios with ``jobs > 1``, and re-targeted at each further scenario by
-    changing only its balance right-hand side and curtailment bounds.
+    Scenarios are dispatched in ``order``, a permutation of their indices
+    (index order by default), and infeasible results are counted as they
+    arrive.  Infeasible scenarios are dropped with a warning as long as they
+    stay under 10% of the set; once they reach it the sweep stops and raises
+    AllScenariosInfeasible, since sizing from a heavily censored collection
+    would be misleading.  Dispatching likely-infeasible scenarios first
+    reaches that verdict after fewer LPs.  The results are put back in
+    index order before anything is computed from them, so no output depends
+    on ``order``.
 
-    Infeasible scenarios are dropped with a warning as long as they stay
-    under 10% of the set; beyond that the sweep aborts, since sizing from a
-    heavily censored collection would be misleading.
+    The dispatch LP is assembled once per sweep, or once per pool worker
+    with ``jobs > 1``, and re-targeted at each further scenario by changing
+    only its balance right-hand side and curtailment bounds.  Pool tasks are
+    single scenario indices; the pool is torn down as soon as the sweep
+    ends, by its verdict or by any error.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)
+    order = list(range(n) if order is None else order)
+    if sorted(order) != list(range(n)):
+        raise ValidationError("dispatch order must be a permutation of the scenario indices")
     abort_at = max(1, int(np.ceil(n * _MAX_INFEASIBLE_FRACTION)))
-
+    n_store = len(config.storage_nodes)
     progress_every = n // 4 if n >= 100 else 0
 
-    def gather(results) -> tuple[list, list[int]]:
-        solutions, dropped = [], []
-        for i, (tag, payload) in enumerate(results):
-            if tag == "ok":
-                solutions.append(payload)
-            else:
-                dropped.append(i)
-                if len(dropped) >= abort_at:
-                    raise AllScenariosInfeasible(
-                        f"{len(dropped)} of {n} scenarios infeasible for storage set "
-                        f"{sorted(config.storage_nodes)} (stopped early)"
-                    )
-            if progress_every and (i + 1) % progress_every == 0 and i + 1 < n:
-                logger.info(
-                    "dispatched %d/%d scenarios (|S|=%d)", i + 1, n, len(config.storage_nodes)
-                )
-        return solutions, dropped
+    def collect(arrivals) -> dict[int, tuple]:
+        results, n_infeasible = {}, 0
+        for i, tag, payload in arrivals:
+            results[i] = (tag, payload)
+            n_infeasible += tag == "infeasible"
+            if n_infeasible >= abort_at:
+                break
+            done = len(results)
+            if progress_every and done % progress_every == 0 and done < n:
+                logger.info("dispatched %d/%d scenarios (|S|=%d)", done, n, n_store)
+        return results
 
     if jobs > 1 and n > 1:
-        chunks = [
-            (network, scenarios[i : i + _CHUNK], config, backend) for i in range(0, n, _CHUNK)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            try:
-                solutions, dropped = gather(
-                    chain.from_iterable(pool.map(_dispatch_chunk, chunks))
-                )
-            except AllScenariosInfeasible:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+        pool = multiprocessing.Pool(
+            min(jobs, n), _init_worker, (network, scenarios, config, backend)
+        )
+        try:
+            results = collect(pool.imap_unordered(_dispatch_index, order))
+        finally:
+            pool.terminate()
+            pool.join()
     else:
-        solutions, dropped = gather(_dispatch_each(network, scenarios, config, backend))
+        dispatch = _dispatcher(network, config, backend)
+        results = collect((i, *dispatch(scenarios[i])) for i in order)
 
+    dropped = sorted(i for i, (tag, _) in results.items() if tag == "infeasible")
+    aborted = len(dropped) >= abort_at
+    if aborted:
+        outcome = f"infeasible after {len(results)} LPs"
+    else:
+        outcome = f"{len(dropped)} dropped" if dropped else "complete"
+    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", n_store, len(results), n, outcome)
+    if aborted:
+        raise AllScenariosInfeasible(
+            f"{len(dropped)} of {n} scenarios infeasible for storage set "
+            f"{sorted(config.storage_nodes)} (stopped early)",
+            dropped,
+        )
+    solutions = [results[i][1] for i in range(n) if results[i][0] == "ok"]
     if dropped:
         labels = [scenarios[i].label for i in dropped]
         logger.warning(
@@ -230,6 +258,7 @@ class SubsetEvaluation:
     power_metric: float
     perf: float
     dropped: int
+    dropped_indices: tuple[int, ...] = ()  # the dropped scenarios, in index order
 
     def metrics(self) -> dict:
         """The metrics :func:`evaluate_fixed_placement` reports."""
@@ -259,10 +288,16 @@ def evaluate_subset(
     dispatch: DispatchConfig,
     backend: str = "highs",
     jobs: int = 1,
+    order=None,
 ) -> SubsetEvaluation:
-    """One full dispatch round with storage restricted to ``nodes``."""
+    """One full dispatch round with storage restricted to ``nodes``.
+
+    ``order`` is the scenario dispatch order :func:`solve_all_scenarios` takes.
+    """
     config = replace(dispatch, storage_nodes=frozenset(nodes))
-    solutions, dropped = solve_all_scenarios(network, scenario_set, config, backend, jobs)
+    solutions, dropped = solve_all_scenarios(
+        network, scenario_set, config, backend, jobs, order=order
+    )
     dropped_set = set(dropped)
     kept = [s for i, s in enumerate(scenario_set.scenarios) if i not in dropped_set]
     stats = CapacityStats.from_solutions(nodes, solutions)
@@ -275,6 +310,7 @@ def evaluate_subset(
         power_metric=power,
         perf=perf(nodes, energy, weights),
         dropped=len(dropped),
+        dropped_indices=tuple(dropped),
     )
 
 
@@ -362,6 +398,24 @@ def threshold_scan(
     return None
 
 
+def _binding_first_order(
+    parent: SubsetEvaluation, nodes: frozenset, infeasible: set[int], n_scenarios: int
+) -> list[int]:
+    """Dispatch order for a candidate subset of ``parent``'s node set.
+
+    Scenarios in ``infeasible`` (found infeasible by an earlier sweep) go
+    first.  The rest of the order ranks scenarios by the total ps_bar they
+    placed in the parent round on the nodes the candidate drops, largest
+    first, since they lean hardest on the storage the candidate takes away.
+    Ties, and scenarios the parent round dropped, go in index order.
+    """
+    kept = np.setdiff1d(np.arange(n_scenarios), parent.dropped_indices)
+    gone = [k for k, b in enumerate(parent.stats.nodes) if b not in nodes]
+    load = np.zeros(n_scenarios)
+    load[kept] = parent.stats.per_scenario_ps_bar[:, gone].sum(axis=1)
+    return sorted(range(n_scenarios), key=lambda i: (i not in infeasible, -load[i], i))
+
+
 @dataclass(eq=False)
 class RoundRecord:
     nodes: tuple[int, ...]
@@ -409,7 +463,9 @@ def greedy_placement(
     worst-case capacity clears the best improving threshold, and stops when
     no threshold improves perf by more than epsilon or the chosen threshold
     is within epsilon_prime of 1.  ``epsilon=None`` uses 1% of the initial
-    perf value.
+    perf value.  Each candidate's sweep dispatches its scenarios in
+    :func:`_binding_first_order`, so an infeasible candidate reaches its
+    verdict early; the results do not depend on that order.
     """
     if len(scenario_set) == 0:
         raise ValidationError("scenario set is empty")
@@ -420,15 +476,22 @@ def greedy_placement(
 
     # one verdict per subset: an evaluation, or the infeasibility that ended it
     memo: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible] = {}
+    infeasible: set[int] = set()  # scenarios any sweep so far found infeasible
+    parent: SubsetEvaluation | None = None  # the round whose candidates are scanned
 
     def evaluate(nodes: frozenset) -> SubsetEvaluation:
         if nodes not in memo:
+            order = None
+            if parent is not None:
+                order = _binding_first_order(parent, nodes, infeasible, len(scenario_set))
             try:
                 memo[nodes] = evaluate_subset(
-                    network, scenario_set, nodes, weights, dispatch, backend, jobs
+                    network, scenario_set, nodes, weights, dispatch, backend, jobs, order=order
                 )
+                infeasible.update(memo[nodes].dropped_indices)
             except AllScenariosInfeasible as exc:
                 memo[nodes] = exc
+                infeasible.update(exc.infeasible)
         if isinstance(memo[nodes], AllScenariosInfeasible):
             raise memo[nodes]
         return memo[nodes]
@@ -443,6 +506,7 @@ def greedy_placement(
     ]
 
     while current:
+        parent = ev
         hit = threshold_scan(ev.stats, current, weights, eps, ev.perf, evaluate)
         if hit is None:
             break

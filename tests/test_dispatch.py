@@ -10,7 +10,9 @@ from gridstore.dispatch import (
     retarget_dispatch_lp,
     verify_dispatch,
 )
-from gridstore.errors import InconsistentDimensions, InfeasibleScenario
+from gridstore import lp as lpmod
+from gridstore.errors import InconsistentDimensions, InfeasibleScenario, SolverFailure
+from gridstore.lp import LpSolution, Status
 from gridstore.lp import solve as lp_solve
 from gridstore.network import Bus, Generator, Line, Network, RenewableSite
 from lp_oracle import oracle_solve
@@ -206,6 +208,29 @@ def test_infeasible_without_storage_raises_with_label():
     with pytest.raises(InfeasibleScenario) as err:
         lookahead_dispatch(net, ramp_case_scenario(), DispatchConfig(), backend="simplex")
     assert "rampy" in str(err.value)
+
+
+def _iteration_limit(prog, backend):
+    return LpSolution(Status.ITERATION_LIMIT)
+
+
+def _backend_error(prog, backend):
+    raise SolverFailure("HiGHS IPM stopped with status 4: model error")
+
+
+@pytest.mark.parametrize(
+    "solver, detail",
+    [
+        (_iteration_limit, "dispatch LP ended with status iteration_limit"),
+        (_backend_error, "HiGHS IPM stopped with status 4: model error"),
+    ],
+)
+def test_solver_failure_names_scenario_and_backend(monkeypatch, solver, detail):
+    monkeypatch.setattr(lpmod, "solve_with_backend", solver)
+    net = one_bus_network(ramp=1.0)
+    with pytest.raises(SolverFailure) as err:
+        lookahead_dispatch(net, ramp_case_scenario(), DispatchConfig(), backend="highs-ipm")
+    assert str(err.value) == f"scenario rampy (highs-ipm): {detail}"
 
 
 # -- physical invariants on random instances ---------------------------------

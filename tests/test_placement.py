@@ -1,15 +1,24 @@
 import itertools
 import logging
+import multiprocessing
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridstore import lp as lpmod
 from gridstore import placement, runners
 from gridstore.config import load_run_config
 from gridstore.dispatch import DispatchConfig, DispatchSolution, Scenario, lookahead_dispatch
-from gridstore.errors import AllScenariosInfeasible, ValidationError, ZeroFluctuationDenominator
-from gridstore.lp import Status
+from gridstore.errors import (
+    AllScenariosInfeasible,
+    SolverFailure,
+    ValidationError,
+    ZeroFluctuationDenominator,
+)
+from gridstore.lp import LpSolution, Status
 from gridstore.network import Bus, Generator, Line, Network, RenewableSite
 from gridstore.placement import (
     CapacityStats,
@@ -27,6 +36,7 @@ from gridstore.placement import (
     threshold_scan,
 )
 from gridstore.scenarios import ScenarioSet, SyntheticParams, generate_synthetic
+from netgen import random_network, random_scenario
 
 DT = 1.0 / 12.0
 
@@ -201,7 +211,7 @@ def test_greedy_dispatches_each_subset_once(monkeypatch):
     }
     calls = []
 
-    def counting_stub(network, scenario_set, nodes, weights, dispatch, backend, jobs):
+    def counting_stub(network, scenario_set, nodes, weights, dispatch, backend, jobs, order=None):
         nodes = frozenset(nodes)
         calls.append(nodes)
         if nodes not in caps:
@@ -416,14 +426,165 @@ def quickstart_config(tmp_path, seed):
     )
 
 
+def quickstart_case(tmp_path, seed):
+    cfg = quickstart_config(tmp_path, seed)
+    network, base_load = runners.load_network_document(cfg.network_path)
+    return cfg, network, runners.build_scenarios(cfg, network, base_load)
+
+
+def orders_to_try(network, sset, nodes):
+    """Index, reversed and binding-first order for a sweep over ``nodes``."""
+    n = len(sset)
+    parent = evaluate_subset(
+        network, sset, range(network.n_buses), PerfWeights(), DispatchConfig()
+    )
+    binding = placement._binding_first_order(parent, frozenset(nodes), set(), n)
+    return {"index": None, "reversed": list(range(n))[::-1], "binding": binding}
+
+
+def assert_sweep_ignores_order(network, sset, nodes):
+    cfg = DispatchConfig(storage_nodes=frozenset(nodes))
+    want, want_dropped = solve_all_scenarios(network, sset, cfg, backend="highs")
+    for jobs in (1, 2):
+        for name, order in orders_to_try(network, sset, nodes).items():
+            got, dropped = solve_all_scenarios(
+                network, sset, cfg, backend="highs", jobs=jobs, order=order
+            )
+            assert dropped == want_dropped, (jobs, name)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                for field in ("pg", "ps", "soc", "s_bar", "ps_bar"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (jobs, name)
+                assert a.objective == b.objective
+    return want_dropped
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_sweep_ignores_dispatch_order_random(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_buses=5, flow_limits=bool(seed % 2))
+    sset = ScenarioSet(
+        [random_scenario(rng, net, fluctuation=3.0, label=f"r{k}") for k in range(6)]
+    )
+    assert assert_sweep_ignores_order(net, sset, {0, 2, 4}) == []
+
+
+@pytest.mark.parametrize("seed, nodes, dropped", [(7, {0}, []), (15, {1}, [2])])
+def test_sweep_ignores_dispatch_order_quickstart(tmp_path, seed, nodes, dropped):
+    # each draw's final set; draw 15's drops scenario s00002
+    _, net, sset = quickstart_case(tmp_path, seed)
+    assert assert_sweep_ignores_order(net, sset, nodes) == dropped
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_aborted_sweep_verdict_ignores_order(tmp_path, jobs):
+    _, net, sset = quickstart_case(tmp_path, 13)  # {1} fails on 3 or more of 30
+    cfg = DispatchConfig(storage_nodes=frozenset({1}))
+    messages = set()
+    for order in orders_to_try(net, sset, {1}).values():
+        with pytest.raises(AllScenariosInfeasible) as err:
+            solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs, order=order)
+        assert len(err.value.infeasible) == 3
+        messages.add(str(err.value))
+    assert messages == {"3 of 30 scenarios infeasible for storage set [1] (stopped early)"}
+
+
+def test_sweep_rejects_an_order_that_is_not_a_permutation():
+    cfg = DispatchConfig(storage_nodes=frozenset({0}))
+    with pytest.raises(ValidationError):
+        solve_all_scenarios(chain_network(), chain_scenarios(n=3), cfg, order=[0, 0, 1])
+
+
+def test_binding_first_order_ranks_by_dropped_ps_bar():
+    # scenarios 0, 1, 3 were kept by the parent round; 2 was dropped there
+    ps_bar = np.array([[1.0, 0.5, 9.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.5]])
+    parent = SubsetEvaluation(
+        (0, 4, 7), CapacityStats((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar, ps_bar), 1, 1, 1, 1, (2,)
+    )
+    # dropping nodes 4 and 7 leaves loads 9.5, 2.0, 0 and 0.5 on scenarios 0, 1, 2, 3
+    assert placement._binding_first_order(parent, frozenset({0}), set(), 4) == [0, 1, 3, 2]
+    assert placement._binding_first_order(parent, frozenset({0}), {2, 3}, 4) == [3, 2, 0, 1]
+
+
+def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_path):
+    # {1} is infeasible for several of the 30 scenarios and is tried after
+    # the storage-everywhere round; ranked first, three of them end its sweep
+    cfg, net, sset = quickstart_case(tmp_path, 13)
+    solved = []
+    solve = placement.solve_dispatch_lp
+
+    def counting_solve(network, scenario, config, *args):
+        solved.append(config.storage_nodes)
+        return solve(network, scenario, config, *args)
+
+    monkeypatch.setattr(placement, "solve_dispatch_lp", counting_solve)
+    state = greedy_placement(
+        net, sset, cfg.weights, epsilon_prime=cfg.epsilon_prime, dispatch=cfg.dispatch
+    )
+    assert isinstance(state.verdicts[frozenset({1})], AllScenariosInfeasible)
+    assert solved.count(frozenset({1})) == 3  # ceil(10% of 30)
+    assert solved.count(frozenset({0, 1, 2})) == 30
+
+
+def test_worker_failure_ends_the_sweep_at_once(monkeypatch):
+    # the first LP any worker solves fails; every other one would take 30 s
+    net = chain_network()
+    sset = chain_scenarios(n=6, seed=31)
+    first = multiprocessing.Value("i", 0)
+    solve = lpmod.solve_with_backend
+
+    def failing_once(prog, backend):
+        with first.get_lock():
+            first.value += 1
+            mine = first.value == 1
+        if mine:
+            return LpSolution(Status.ITERATION_LIMIT)
+        time.sleep(30)
+        return solve(prog, backend)
+
+    monkeypatch.setattr(lpmod, "solve_with_backend", failing_once)
+    cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}))
+    start = time.monotonic()
+    with pytest.raises(SolverFailure, match=r"^scenario s\d+ \(highs\): .* iteration_limit$"):
+        solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_aborting_pool_sweeps_do_not_hang():
+    # the export line out of the wind bus clips its peaks; storage behind it cannot help
+    net = Network(
+        buses=[Bus(0, "wind"), Bus(1, "city"), Bus(2, "plant", is_slack=True)],
+        lines=[Line(0, 1, 0.1, 2.5), Line(1, 2, 0.1, None)],
+        generators=[Generator(bus=2, cost=5.0, p_max=25.0, ramp_limit=0.5)],
+        renewables=[RenewableSite(bus=0, p_max=4.0)],
+    )
+    sset = chain_scenarios(seed=13)
+    cfg = DispatchConfig(storage_nodes=frozenset({2}))
+
+    def hung(signum, frame):
+        raise TimeoutError("aborting sweeps hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        for _ in range(30):
+            with pytest.raises(AllScenariosInfeasible):
+                solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
+            assert multiprocessing.active_children() == []
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
     cfg = quickstart_config(tmp_path, seed=7)  # its baseline {0} is the greedy final set
     calls = []
     evaluate = placement.evaluate_subset
 
-    def counting_evaluate(network, scenario_set, nodes, *args):
+    def counting_evaluate(network, scenario_set, nodes, *args, **kwargs):
         calls.append(frozenset(nodes))
-        return evaluate(network, scenario_set, nodes, *args)
+        return evaluate(network, scenario_set, nodes, *args, **kwargs)
 
     monkeypatch.setattr(placement, "evaluate_subset", counting_evaluate)
     report = runners.run_place(cfg)
@@ -448,7 +609,7 @@ def test_place_baseline_reuses_greedy_infeasibility(monkeypatch, tmp_path):
     # then reports the same error record a fresh dispatch would have raised
     calls = []
 
-    def stub(network, scenario_set, nodes, weights, dispatch, backend, jobs):
+    def stub(network, scenario_set, nodes, weights, dispatch, backend, jobs, order=None):
         nodes = frozenset(nodes)
         calls.append(nodes)
         if nodes == frozenset({0}):
