@@ -5,6 +5,8 @@ the whole horizon.  Decision variables are generator setpoints pg(t),
 storage injections ps(t) (positive = discharging into the grid), non-slack
 bus angles theta(t), and per-node storage sizing variables: energy capacity
 s_bar (MWh), power rating ps_bar (MW), and the initial state of charge s0.
+The capacities are always decision variables: each scenario's LP sizes the
+storage it needs, and placement takes the worst case over scenarios.
 
 Constraints per step: nodal flow balance through the network Laplacian,
 line flow limits, generator ramp limits between consecutive steps, state of
@@ -38,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, Status
-from .network import Network, build_laplacian, check_connected
+from .network import Network, build_laplacian, check_connected, injections_from_flows
 
 CURTAIL_PENALTY = 1e4  # $/MWh, large against any sane fuel cost
 
@@ -86,9 +88,6 @@ class DispatchConfig:
     storage_power_cost: float = 20.0  # $ per MW of ps_bar
     allow_curtailment: bool = False
     initial_soc_free: bool = True  # False pins s0 at s_bar / 2
-    # operational re-solve mode: pin capacities instead of optimizing them
-    s_bar_fixed: tuple[float, ...] | None = None  # per sorted storage node, MWh
-    ps_bar_fixed: tuple[float, ...] | None = None  # per sorted storage node, MW
 
     def __post_init__(self):
         object.__setattr__(self, "storage_nodes", frozenset(self.storage_nodes))
@@ -100,14 +99,13 @@ class DispatchIndex:
     """Column layout of the dispatch LP: one contiguous block per variable family.
 
     Blocks in column order: ``pg`` (T, n_gen), ``ps`` (T, n_store), ``theta``
-    (T, n_buses - 1, over ``non_slack``), ``s_bar`` and ``ps_bar`` (n_store
-    each, empty when capacities are fixed), ``s0`` (n_store) and ``curtail``
-    (T, n_sites, empty without curtailment).  Each attribute holds its
-    block's column numbers in that shape, so ``x[idx.pg]`` is the generator
-    schedule.  Storage columns follow ``storage``, the sorted node list.
-    ``balance`` holds the (T, n_buses) row numbers of the nodal balance, set
-    by :func:`build_dispatch_lp`; ``T`` and ``dt_hours`` are the step grid
-    the LP was built for.
+    (T, n_buses - 1, over ``non_slack``), ``s_bar``, ``ps_bar`` and ``s0``
+    (n_store each) and ``curtail`` (T, n_sites, empty without curtailment).
+    Each attribute holds its block's column numbers in that shape, so
+    ``x[idx.pg]`` is the generator schedule.  Storage columns follow
+    ``storage``, the sorted node list.  ``balance`` holds the (T, n_buses)
+    row numbers of the nodal balance, set by :func:`build_dispatch_lp`;
+    ``T`` and ``dt_hours`` are the step grid the LP was built for.
     """
 
     balance: np.ndarray
@@ -122,7 +120,6 @@ class DispatchIndex:
         self.n_store = K = len(self.storage)
         self.n_sites = len(network.renewables)
         self.curtail_on = config.allow_curtailment
-        self.sized = config.s_bar_fixed is None  # capacities are variables
         self.non_slack = np.delete(np.arange(self.n_buses), self.slack)
 
         self.n_vars = 0
@@ -132,12 +129,11 @@ class DispatchIndex:
             self.n_vars += cols.size
             return cols
 
-        n_cap = K if self.sized else 0
         self.pg = block(T, self.n_gen)
         self.ps = block(T, K)
         self.theta = block(T, self.n_buses - 1)
-        self.s_bar = block(n_cap)
-        self.ps_bar = block(n_cap)
+        self.s_bar = block(K)
+        self.ps_bar = block(K)
         self.s0 = block(K)
         self.curtail = block(T, self.n_sites if self.curtail_on else 0)
 
@@ -211,10 +207,6 @@ def _check_shapes(network: Network, scenario: Scenario, config: DispatchConfig) 
     bad = [b for b in config.storage_nodes if not 0 <= b < network.n_buses]
     if bad:
         raise InconsistentDimensions(f"storage nodes {bad} not in network")
-    for name in ("s_bar_fixed", "ps_bar_fixed"):
-        fixed = getattr(config, name)
-        if fixed is not None and len(fixed) != len(config.storage_nodes):
-            raise InconsistentDimensions(f"{name} length does not match storage node count")
 
 
 def _balance_rhs(network: Network, scenario: Scenario) -> np.ndarray:
@@ -245,19 +237,9 @@ def build_dispatch_lp(
     cost[idx.pg] = [gen.cost * dt for gen in gens]
     lower[idx.pg] = 0.0
     upper[idx.pg] = [gen.p_max for gen in gens]
-    lower[idx.s0] = 0.0
-    if idx.sized:
-        cost[idx.s_bar] = config.storage_energy_cost
-        cost[idx.ps_bar] = config.storage_power_cost
-        lower[idx.s_bar] = lower[idx.ps_bar] = 0.0
-    else:
-        s_cap = np.asarray(config.s_bar_fixed, dtype=float)
-        p_cap = np.asarray(
-            config.ps_bar_fixed if config.ps_bar_fixed is not None else np.full(K, np.inf),
-            dtype=float,
-        )
-        upper[idx.s0] = s_cap
-        lower[idx.ps], upper[idx.ps] = -p_cap, p_cap
+    cost[idx.s_bar] = config.storage_energy_cost
+    cost[idx.ps_bar] = config.storage_power_cost
+    lower[idx.s_bar] = lower[idx.ps_bar] = lower[idx.s0] = 0.0
     if idx.curtail_on:
         cost[idx.curtail] = CURTAIL_PENALTY * dt
         lower[idx.curtail] = 0.0
@@ -297,36 +279,32 @@ def build_dispatch_lp(
     rows.set(ramps, idx.pg[:-1, ramped], -1.0)
 
     # state of charge inside [0, s_bar] at every boundary, via running sums.
-    # Per node: s0 <= s_bar when sized, s0 = s_bar / 2 when pinned, then a
+    # Per node: s0 <= s_bar, s0 = s_bar / 2 when pinned, then a
     # (soc >= 0, soc <= s_bar) pair per step.  Every row carries s0.
     if K:
         pinned = not config.initial_soc_free
-        head = int(idx.sized) + int(pinned)
+        head = 1 + int(pinned)
         lo = np.empty((K, head + 2 * T))
         hi = np.empty((K, head + 2 * T))
         lo[:, head::2], hi[:, head::2] = 0.0, np.inf
-        lo[:, head + 1 :: 2] = -np.inf
-        hi[:, head + 1 :: 2] = 0.0 if idx.sized else s_cap[:, None]
-        if idx.sized:
-            lo[:, 0], hi[:, 0] = -np.inf, 0.0
+        lo[:, head + 1 :: 2], hi[:, head + 1 :: 2] = -np.inf, 0.0
+        lo[:, 0], hi[:, 0] = -np.inf, 0.0
         if pinned:
-            lo[:, head - 1] = hi[:, head - 1] = 0.0 if idx.sized else 0.5 * s_cap
+            lo[:, 1] = hi[:, 1] = 0.0
         soc = rows.add(lo, hi)  # (K, head + 2T)
         rows.set(soc, idx.s0[:, None], 1.0)
-        if idx.sized:
-            rows.set(soc[:, 0], idx.s_bar, -1.0)
-            if pinned:
-                rows.set(soc[:, 1], idx.s_bar, -0.5)
-            rows.set(soc[:, head + 1 :: 2], idx.s_bar[:, None], -1.0)
+        rows.set(soc[:, 0], idx.s_bar, -1.0)
+        if pinned:
+            rows.set(soc[:, 1], idx.s_bar, -0.5)
+        rows.set(soc[:, head + 1 :: 2], idx.s_bar[:, None], -1.0)
         step, tau = np.tril_indices(T)  # soc after step+1 sums ps over tau <= step
         for side in (0, 1):
             rows.set(soc[:, head + 2 * step + side], idx.ps[tau].T, -dt)
 
-    # |ps| <= ps_bar when the rating is a variable: ps - ps_bar <= 0 <= ps + ps_bar
-    if idx.sized:
-        rating = rows.add(np.broadcast_to([-np.inf, 0.0], (T, K, 2)), [0.0, np.inf])
-        rows.set(rating, idx.ps[:, :, None], 1.0)
-        rows.set(rating, idx.ps_bar[:, None], [-1.0, 1.0])
+    # |ps| <= ps_bar: ps - ps_bar <= 0 <= ps + ps_bar
+    rating = rows.add(np.broadcast_to([-np.inf, 0.0], (T, K, 2)), [0.0, np.inf])
+    rows.set(rating, idx.ps[:, :, None], 1.0)
+    rows.set(rating, idx.ps_bar[:, None], [-1.0, 1.0])
 
     # zero net energy exchanged with storage over the horizon
     if K:
@@ -393,16 +371,8 @@ def decode_solution(
     from_bus = np.array([ln.from_bus for ln in lines], dtype=int)
     to_bus = np.array([ln.to_bus for ln in lines], dtype=int)
     flows = (theta[:, from_bus] - theta[:, to_bus]) / np.array([ln.reactance for ln in lines])
-    if idx.sized:
-        s_bar = x[idx.s_bar]
-        ps_bar = x[idx.ps_bar]
-    else:
-        s_bar = np.asarray(config.s_bar_fixed, dtype=float)
-        ps_bar = (
-            np.asarray(config.ps_bar_fixed, dtype=float)
-            if config.ps_bar_fixed is not None
-            else np.max(np.abs(ps), axis=0, initial=0.0) * np.ones(idx.n_store)
-        )
+    s_bar = x[idx.s_bar]
+    ps_bar = x[idx.ps_bar]
     curtailed = x[idx.curtail] if idx.curtail_on else None
     # each generator's energy summed over its own schedule, then the costs
     # totalled left to right (the float order the reports have always used)
@@ -411,7 +381,7 @@ def decode_solution(
     gen_cost = float(sum((rate * dt * energy).tolist()))
     store_cost = float(
         config.storage_energy_cost * s_bar.sum() + config.storage_power_cost * ps_bar.sum()
-    ) if idx.sized else 0.0
+    )
     return DispatchSolution(
         status=sol.status,
         pg=pg,
@@ -498,10 +468,7 @@ def verify_dispatch(
             inj[b] += sol.ps[t, k]
         inj += scenario.interchange[t] - scenario.load[t]
         # flows must carry exactly the nodal injections
-        carried = np.zeros(network.n_buses)
-        for ln, line in enumerate(network.lines):
-            carried[line.from_bus] += sol.flows[t, ln]
-            carried[line.to_bus] -= sol.flows[t, ln]
+        carried = injections_from_flows(network, sol.flows[t])
         balance = max(balance, float(np.max(np.abs(inj - carried), initial=0.0)))
         balance = max(balance, abs(float(inj.sum())))
     book = 0.0

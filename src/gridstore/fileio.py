@@ -97,12 +97,6 @@ def load_network_document(path) -> tuple[Network, np.ndarray]:
     return network, base_load
 
 
-def parse_network(path) -> Network:
-    """Network with all invariants validated; diagnostics carry the path."""
-    network, _ = load_network_document(path)
-    return network
-
-
 def network_document(network: Network, base_load=None, name: str = "") -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,13 @@ Three interchangeable solvers implement the same result contract:
   Deterministic, dense basis arithmetic, intended for desk-scale instances.
 * :func:`solve_highs` and :func:`solve_highs_ipm` - thin adapters over
   scipy's HiGHS dual simplex and interior point for large dispatch
-  instances.  Same statuses, same residual reporting.
+  instances.  They share one status table and one result path, and take
+  no tolerance: HiGHS runs with its own defaults.
+
+Every solver answers a program without variables the same way, returns
+``x`` clipped into the variable bounds with its worst residual, and reports
+an infeasible, unbounded or iteration-limited instance as a status, not as
+an exception.  :func:`solve_with_backend` picks a solver by name.
 """
 
 from __future__ import annotations
@@ -127,6 +133,13 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
             float(np.max(np.maximum(act - lp.row_upper, 0.0), initial=0.0)),
         )
     return worst
+
+
+def _empty_program(lp: LinearProgram) -> LpSolution:
+    """Every solver's result for a program without variables: its rows hold at 0 or never."""
+    if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
+        return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
+    return LpSolution(Status.INFEASIBLE)
 
 
 def default_iter_limit(lp: LinearProgram) -> int:
@@ -364,9 +377,7 @@ def solve(
         iter_limit = default_iter_limit(lp)
 
     if lp.n_vars == 0:
-        if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
-            return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
-        return LpSolution(Status.INFEASIBLE)
+        return _empty_program(lp)
 
     tab = _Tableau(lp, feas_tol)
     total_iters = 0
@@ -413,43 +424,41 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def solve_highs(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
-    """Solve with scipy's HiGHS wrapper; same result contract as :func:`solve`.
+# HiGHS reports the same codes through milp and linprog; 0 is optimal and
+# anything missing here (4: numerical trouble or a model error) is a failure.
+_HIGHS_STATUS = {1: Status.ITERATION_LIMIT, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
 
-    scipy's ``milp`` entry point reports no simplex iteration count, so
-    ``iterations`` stays 0 here.
+
+def _highs_result(lp: LinearProgram, res, iterations: int, name: str) -> LpSolution:
+    """The :class:`LpSolution` for a HiGHS result; ``x`` is clipped into its bounds."""
+    if res.status == 0:
+        x = np.asarray(res.x, dtype=float)
+        np.clip(x, lp.var_lower, lp.var_upper, out=x)
+        return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), iterations, max_violation(lp, x))
+    if res.status in _HIGHS_STATUS:
+        return LpSolution(_HIGHS_STATUS[res.status], iterations=iterations)
+    raise SolverFailure(f"{name} stopped with status {res.status}: {res.message}")
+
+
+def solve_highs(lp: LinearProgram) -> LpSolution:
+    """HiGHS dual simplex via scipy's ``milp``; same result contract as :func:`solve`.
+
+    ``milp`` reports no simplex iteration count, so ``iterations`` stays 0.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     lp.validate()
     if lp.n_vars == 0:
-        if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
-            return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
-        return LpSolution(Status.INFEASIBLE)
-
+        return _empty_program(lp)
     constraints = []
     if lp.n_rows:
         constraints.append(LinearConstraint(lp.matrix(), lp.row_lower, lp.row_upper))
-    res = milp(
-        c=lp.cost,
-        constraints=constraints,
-        bounds=Bounds(lp.var_lower, lp.var_upper),
-    )
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        np.clip(x, lp.var_lower, lp.var_upper, out=x)
-        return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), 0, max_violation(lp, x))
-    if res.status == 2:
-        return LpSolution(Status.INFEASIBLE)
-    if res.status == 3:
-        return LpSolution(Status.UNBOUNDED)
-    if res.status == 1:
-        return LpSolution(Status.ITERATION_LIMIT)
-    raise SolverFailure(f"HiGHS stopped with status {res.status}: {res.message}")
+    res = milp(c=lp.cost, constraints=constraints, bounds=Bounds(lp.var_lower, lp.var_upper))
+    return _highs_result(lp, res, 0, "HiGHS")
 
 
-def solve_highs_ipm(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> LpSolution:
-    """HiGHS interior-point (with crossover) via scipy's linprog.
+def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
+    """HiGHS interior point (with crossover) via scipy's ``linprog``.
 
     Much faster than simplex on large time-coupled instances with highly
     degenerate optimal faces; same result contract as :func:`solve`.
@@ -459,10 +468,7 @@ def solve_highs_ipm(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> Lp
 
     lp.validate()
     if lp.n_vars == 0:
-        if np.all(lp.row_lower <= 0) and np.all(lp.row_upper >= 0):
-            return LpSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0, 0.0)
-        return LpSolution(Status.INFEASIBLE)
-
+        return _empty_program(lp)
     A = lp.matrix().tocsc()
     eq = lp.row_lower == lp.row_upper
     ineq = ~eq
@@ -472,40 +478,22 @@ def solve_highs_ipm(lp: LinearProgram, feas_tol: float = DEFAULT_FEAS_TOL) -> Lp
     b_ub = np.concatenate([lp.row_upper[take_u], -lp.row_lower[take_l]]) if A_ub is not None else None
     A_eq = A[eq] if eq.any() else None
     b_eq = lp.row_lower[eq] if eq.any() else None
-    bounds = [
-        (l if np.isfinite(l) else None, h if np.isfinite(h) else None)
-        for l, h in zip(lp.var_lower, lp.var_upper)
-    ]
+    bounds = np.column_stack([lp.var_lower, lp.var_upper])
     res = linprog(
         lp.cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs-ipm"
     )
-    nit = int(res.nit)
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        np.clip(x, lp.var_lower, lp.var_upper, out=x)
-        return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), nit, max_violation(lp, x))
-    if res.status == 2:
-        return LpSolution(Status.INFEASIBLE, iterations=nit)
-    if res.status == 3:
-        return LpSolution(Status.UNBOUNDED, iterations=nit)
-    if res.status == 1:
-        return LpSolution(Status.ITERATION_LIMIT, iterations=nit)
-    raise SolverFailure(f"HiGHS IPM stopped with status {res.status}: {res.message}")
+    return _highs_result(lp, res, int(res.nit), "HiGHS IPM")
 
 
-BACKENDS = {
-    "simplex": lambda lp, feas_tol=DEFAULT_FEAS_TOL: solve(lp, feas_tol=feas_tol),
-    "highs": solve_highs,
-    "highs-ipm": solve_highs_ipm,
-}
+BACKENDS = {"simplex": solve, "highs": solve_highs, "highs-ipm": solve_highs_ipm}
 
 
-def solve_with_backend(lp: LinearProgram, backend: str = "simplex", **kwargs) -> LpSolution:
+def solve_with_backend(lp: LinearProgram, backend: str = "simplex") -> LpSolution:
     try:
         fn = BACKENDS[backend]
     except KeyError:
         raise ValidationError(f"unknown LP backend {backend!r}") from None
-    return fn(lp, **kwargs)
+    return fn(lp)
 
 
 # ---------------------------------------------------------------------------

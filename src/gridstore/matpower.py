@@ -173,11 +173,6 @@ def import_matpower_document(
     return MatpowerDocument(network=network, base_load=base_load, bus_numbers=bus_numbers)
 
 
-def import_matpower_case(path, dt_hours: float = DEFAULT_DT_HOURS) -> Network:
-    """Network from a MATPOWER case file; loads go unused here (see document)."""
-    return import_matpower_document(path, dt_hours).network
-
-
 def add_renewable_sites(doc: MatpowerDocument, additions: list[tuple[int, float]]) -> MatpowerDocument:
     """Attach renewable sites at existing buses given (original bus number, MW)."""
     dense = {num: i for i, num in enumerate(doc.bus_numbers)}

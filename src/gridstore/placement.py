@@ -60,18 +60,16 @@ class CapacityStats:
     nodes: tuple[int, ...]
     s_bar_max: np.ndarray  # MWh per node, elementwise max over scenarios
     ps_bar_max: np.ndarray  # MW per node
-    per_scenario_s_bar: np.ndarray  # (n_scenarios_ok, n_nodes)
-    per_scenario_ps_bar: np.ndarray
+    per_scenario_ps_bar: np.ndarray  # (n_scenarios_ok, n_nodes) MW
 
     @classmethod
     def from_solutions(cls, nodes, solutions: list[DispatchSolution]) -> "CapacityStats":
         nodes = tuple(sorted(nodes))
         if not solutions or not nodes:
-            empty = np.zeros((len(solutions), 0))
-            return cls(nodes, np.zeros(0), np.zeros(0), empty, empty)
-        per_s = np.vstack([sol.s_bar for sol in solutions])
+            return cls(nodes, np.zeros(0), np.zeros(0), np.zeros((len(solutions), 0)))
+        s_bar_max = np.vstack([sol.s_bar for sol in solutions]).max(axis=0)
         per_p = np.vstack([sol.ps_bar for sol in solutions])
-        return cls(nodes, per_s.max(axis=0), per_p.max(axis=0), per_s, per_p)
+        return cls(nodes, s_bar_max, per_p.max(axis=0), per_p)
 
 
 def perf(nodes, energy_metric: float, weights: PerfWeights) -> float:
@@ -437,13 +435,6 @@ class PlacementState:
     epsilon_prime: float
     # every subset greedy evaluated: its evaluation, or the infeasibility that ended it
     verdicts: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible]
-
-    @property
-    def iteration_history(self) -> list[tuple]:
-        return [
-            (len(r.nodes), r.perf, r.energy_metric, r.power_metric, r.gamma)
-            for r in self.rounds
-        ]
 
 
 def greedy_placement(

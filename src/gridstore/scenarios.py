@@ -171,7 +171,7 @@ def generate_synthetic(
     )
 
 
-def compute_penetration(scenario: Scenario, network: Network | None = None) -> float:
+def compute_penetration(scenario: Scenario) -> float:
     """Fraction of load energy served by renewables over the horizon."""
     load_mwh = float(scenario.load.sum()) * scenario.dt_hours
     if load_mwh <= 0:

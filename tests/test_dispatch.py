@@ -93,30 +93,6 @@ LAYOUTS = {
         [0, 0, -INF, -INF, -INF, -INF, 0, 0, 0, 0, 0],
         [8, 8, INF, INF, INF, INF, INF, INF, INF, 2, 1],
     ),
-    "fixed": (
-        dict(s_bar_fixed=(3.0,), ps_bar_fixed=(1.5,)),
-        # columns: pg0 pg1 | ps0 ps1 | th0 th1 | s0 | cur0 cur1
-        [
-            ([-1, 0, 0, 0, -2, 0, 0, 0, 0], 0.5, 0.5),
-            ([0, 0, -1, 0, 2, 0, 0, 1, 0], -1.0, -1.0),
-            ([0, -1, 0, 0, 0, -2, 0, 0, 0], 0.0, 0.0),
-            ([0, 0, 0, -1, 0, 2, 0, 0, 1], -3.0, -3.0),
-            ([0, 0, 0, 0, -2, 0, 0, 0, 0], -3, 3),
-            ([0, 0, 0, 0, 0, -2, 0, 0, 0], -3, 3),
-            ([-1, 1, 0, 0, 0, 0, 0, 0, 0], -1, 1),
-            # s0 = 3 / 2
-            ([0, 0, 0, 0, 0, 0, 1, 0, 0], 1.5, 1.5),
-            # soc after step 1, then step 2: >= 0, <= 3
-            ([0, 0, -0.5, 0, 0, 0, 1, 0, 0], 0, INF),
-            ([0, 0, -0.5, 0, 0, 0, 1, 0, 0], -INF, 3),
-            ([0, 0, -0.5, -0.5, 0, 0, 1, 0, 0], 0, INF),
-            ([0, 0, -0.5, -0.5, 0, 0, 1, 0, 0], -INF, 3),
-            ([0, 0, 0.5, 0.5, 0, 0, 0, 0, 0], 0, 0),
-        ],
-        [5, 5, 0, 0, 0, 0, 0, 5000, 5000],
-        [0, 0, -1.5, -1.5, -INF, -INF, 0, 0, 0],
-        [8, 8, 1.5, 1.5, INF, INF, 3, 2, 1],
-    ),
 }
 
 
@@ -423,7 +399,7 @@ def lp_bytes(prog) -> list[tuple]:
 
 
 @pytest.mark.parametrize("storage", ["everywhere", "subset", "none"])
-@pytest.mark.parametrize("caps", ["sized", "fixed", "fixed_energy_only"])
+@pytest.mark.parametrize("caps", ["sized"])  # the only capacity mode; kept in the case ids
 @pytest.mark.parametrize("curtail", [False, True])
 @pytest.mark.parametrize("soc_free", [True, False])
 def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free):
@@ -431,17 +407,8 @@ def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free):
     net = random_network(rng, n_buses=5, flow_limits=True, n_sites=2)
     scens = [random_scenario(rng, net, label=f"s{i}") for i in range(5)]
     nodes = {"everywhere": range(5), "subset": {1, 3}, "none": ()}[storage]
-    k = len(nodes)
-    fixed = {
-        "sized": {},
-        "fixed": dict(s_bar_fixed=(2.0,) * k, ps_bar_fixed=(1.0,) * k),
-        "fixed_energy_only": dict(s_bar_fixed=(2.0,) * k),
-    }[caps]
     cfg = DispatchConfig(
-        storage_nodes=frozenset(nodes),
-        allow_curtailment=curtail,
-        initial_soc_free=soc_free,
-        **fixed,
+        storage_nodes=frozenset(nodes), allow_curtailment=curtail, initial_soc_free=soc_free
     )
     first, idx = build_dispatch_lp(net, scens[0], cfg)
     before = lp_bytes(first)

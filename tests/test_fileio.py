@@ -8,7 +8,6 @@ from gridstore.errors import ParseError, ValidationError
 from gridstore.fileio import (
     load_network_document,
     network_document,
-    parse_network,
     write_network_document,
 )
 from gridstore.network import Bus, Generator, Line, Network, RenewableSite
@@ -36,7 +35,7 @@ def write_doc(tmp_path, doc, name="net.json"):
 
 
 def test_golden_two_bus(tmp_path):
-    net = parse_network(write_doc(tmp_path, TWO_BUS))
+    net = load_network_document(write_doc(tmp_path, TWO_BUS))[0]
     assert net.n_buses == 2
     assert len(net.lines) == 1
     assert net.lines[0].flow_limit == 10.0
@@ -51,32 +50,32 @@ def test_base_load_extraction(tmp_path):
 def test_duplicate_bus_id_rejected(tmp_path):
     doc = dict(TWO_BUS, buses=[{"id": 0, "slack": True}, {"id": 0}])
     with pytest.raises(ValidationError):
-        parse_network(write_doc(tmp_path, doc))
+        load_network_document(write_doc(tmp_path, doc))
 
 
 def test_negative_reactance_rejected(tmp_path):
     doc = dict(TWO_BUS, lines=[{"from": 0, "to": 1, "reactance": -0.2}])
     with pytest.raises(ValidationError):
-        parse_network(write_doc(tmp_path, doc))
+        load_network_document(write_doc(tmp_path, doc))
 
 
 def test_disconnected_rejected(tmp_path):
     doc = dict(TWO_BUS, lines=[])
     with pytest.raises(ValidationError):
-        parse_network(write_doc(tmp_path, doc))
+        load_network_document(write_doc(tmp_path, doc))
 
 
 def test_missing_key_is_parse_error(tmp_path):
     doc = dict(TWO_BUS, lines=[{"from": 0, "reactance": 0.2}])
     with pytest.raises(ParseError):
-        parse_network(write_doc(tmp_path, doc))
+        load_network_document(write_doc(tmp_path, doc))
 
 
 def test_bad_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "buses": [,]\n}')
     with pytest.raises(ParseError) as err:
-        parse_network(path)
+        load_network_document(path)
     assert err.value.line == 2
 
 

@@ -26,20 +26,53 @@ def test_min_over_box():
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
 
-def test_unbounded_direction():
-    lp = LinearProgram(n_vars=1, cost=[-1.0], var_lower=[0.0])
-    assert solve(lp).status is Status.UNBOUNDED
+def lp_unbounded_ray():
+    return LinearProgram(n_vars=1, cost=[-1.0], var_lower=[0.0])
 
 
-def test_conflicting_rows_infeasible():
-    lp = LinearProgram(
+def lp_conflicting_rows():
+    return LinearProgram(
         n_vars=1,
         cost=[0.0],
         A=[[1.0], [1.0]],
         row_lower=[2.0, -np.inf],  # x >= 2
         row_upper=[np.inf, 1.0],  # x <= 1
     )
-    assert solve(lp).status is Status.INFEASIBLE
+
+
+def test_unbounded_direction():
+    assert solve(lp_unbounded_ray()).status is Status.UNBOUNDED
+
+
+def test_conflicting_rows_infeasible():
+    assert solve(lp_conflicting_rows()).status is Status.INFEASIBLE
+
+
+STATUS_CASES = {
+    # no variables: the rows hold at the empty point or never
+    "empty_satisfiable": (
+        lambda: LinearProgram(n_vars=0, cost=[], row_lower=[-1.0, 0.0], row_upper=[1.0, np.inf]),
+        Status.OPTIMAL,
+    ),
+    "empty_unsatisfiable": (
+        lambda: LinearProgram(n_vars=0, cost=[], row_lower=[-1.0, 1.0], row_upper=[1.0, 2.0]),
+        Status.INFEASIBLE,
+    ),
+    "unbounded_ray": (lp_unbounded_ray, Status.UNBOUNDED),
+    "conflicting_rows": (lp_conflicting_rows, Status.INFEASIBLE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATUS_CASES))
+@pytest.mark.parametrize("backend", ["simplex", "highs", "highs-ipm"])
+def test_every_backend_maps_status_alike(backend, case):
+    make, want = STATUS_CASES[case]
+    sol = solve_with_backend(make(), backend)
+    assert sol.status is want
+    if want is Status.OPTIMAL:
+        assert sol.x.shape == (0,) and sol.objective == 0.0 and sol.max_violation == 0.0
+    else:
+        assert sol.x is None and sol.objective is None
 
 
 def test_degenerate_tie_objective_only():

@@ -5,7 +5,6 @@ import pytest
 from gridstore.errors import UnsupportedFeature, ValidationError
 from gridstore.matpower import (
     add_renewable_sites,
-    import_matpower_case,
     import_matpower_document,
 )
 
@@ -53,7 +52,7 @@ def test_minimal_two_bus_case(tmp_path):
 
 def test_rate_a_zero_means_unlimited(tmp_path):
     text = MINI_CASE.replace("\t0.1\t0\t50\t50\t50", "\t0.1\t0\t0\t0\t0")
-    net = import_matpower_case(write_case(tmp_path, text))
+    net = import_matpower_document(write_case(tmp_path, text)).network
     assert net.lines[0].flow_limit is None
 
 
@@ -66,7 +65,7 @@ def test_out_of_service_branch_and_gen_skipped(tmp_path):
         "mpc.gen = [\n",
         "mpc.gen = [\n\t2\t0\t0\t0\t0\t1.0\t100\t0\t99\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0;\n",
     )
-    net = import_matpower_case(write_case(tmp_path, text))
+    net = import_matpower_document(write_case(tmp_path, text)).network
     assert len(net.lines) == 1
     assert len(net.generators) == 1
 
@@ -74,37 +73,37 @@ def test_out_of_service_branch_and_gen_skipped(tmp_path):
 def test_phase_shift_rejected(tmp_path):
     text = MINI_CASE.replace("\t0\t0\t1\t-360\t360", "\t0\t30\t1\t-360\t360")
     with pytest.raises(UnsupportedFeature):
-        import_matpower_case(write_case(tmp_path, text))
+        import_matpower_document(write_case(tmp_path, text))
 
 
 def test_dcline_rejected(tmp_path):
     text = MINI_CASE + "\nmpc.dcline = [\n\t1\t2\t1\t10\t-10\t0\t0;\n];\n"
     with pytest.raises(UnsupportedFeature):
-        import_matpower_case(write_case(tmp_path, text))
+        import_matpower_document(write_case(tmp_path, text))
 
 
 def test_tap_ratio_scales_reactance(tmp_path):
     text = MINI_CASE.replace("\t50\t0\t0\t1\t-360", "\t50\t0.9\t0\t1\t-360")
-    net = import_matpower_case(write_case(tmp_path, text))
+    net = import_matpower_document(write_case(tmp_path, text)).network
     assert net.lines[0].reactance == pytest.approx(0.1 * 0.9)
 
 
 def test_default_ramp_when_column_zero(tmp_path):
     text = MINI_CASE.replace("\t12\t12\t12\t0\t0;", "\t0\t0\t0\t0\t0;")
-    net = import_matpower_case(write_case(tmp_path, text), dt_hours=1.0 / 12.0)
+    net = import_matpower_document(write_case(tmp_path, text), dt_hours=1.0 / 12.0).network
     # documented default: 20% of PMAX per 5-minute step
     assert net.generators[0].ramp_limit == pytest.approx(0.2 * 60.0)
 
 
 def test_quadratic_cost_fallback(tmp_path):
     text = MINI_CASE.replace("\t2\t0\t0\t2\t14\t0;", "\t2\t0\t0\t3\t0.05\t0\t0;")
-    net = import_matpower_case(write_case(tmp_path, text))
+    net = import_matpower_document(write_case(tmp_path, text)).network
     assert net.generators[0].cost == pytest.approx(0.05 * 60.0)
 
 
 def test_piecewise_cost_average_slope(tmp_path):
     text = MINI_CASE.replace("\t2\t0\t0\t2\t14\t0;", "\t1\t0\t0\t2\t0\t0\t60\t900;")
-    net = import_matpower_case(write_case(tmp_path, text))
+    net = import_matpower_document(write_case(tmp_path, text)).network
     assert net.generators[0].cost == pytest.approx(15.0)
 
 
@@ -113,7 +112,7 @@ def test_two_slack_buses_rejected(tmp_path):
         "\t2\t1\t30\t8", "\t2\t3\t30\t8"
     )
     with pytest.raises(ValidationError):
-        import_matpower_case(write_case(tmp_path, text))
+        import_matpower_document(write_case(tmp_path, text))
 
 
 def test_add_renewable_sites_by_bus_number(tmp_path):
