@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .dispatch import (
 from .errors import (
     AllScenariosInfeasible,
     InfeasibleScenario,
+    SolverFailure,
     ValidationError,
     ZeroFluctuationDenominator,
 )
@@ -153,17 +155,67 @@ def _dispatcher(network: Network, config: DispatchConfig, backend: str):
     return dispatch
 
 
-_worker: tuple = ()  # (dispatch, scenarios) in a pool worker, set by _init_worker
+def _worker_loop(conn, network, scenarios, config, backend) -> None:
+    """Pool worker: dispatch each scenario index received on ``conn``.
+
+    Replies (i, tag, payload) as the jobs=1 path yields them, or
+    (i, "error", exception) when the dispatch raises.
+    """
+    dispatch = _dispatcher(network, config, backend)
+    while True:
+        i = conn.recv()
+        try:
+            reply = (i, *dispatch(scenarios[i]))
+        except Exception as exc:
+            reply = (i, "error", exc)
+        conn.send(reply)
 
 
-def _init_worker(network, scenarios, config, backend) -> None:
-    global _worker
-    _worker = (_dispatcher(network, config, backend), scenarios)
+def _pool_arrivals(network, scenarios, config, backend, jobs: int, order):
+    """Yield (i, tag, payload) from ``jobs`` workers as their results arrive.
 
-
-def _dispatch_index(i: int) -> tuple:
-    dispatch, scenarios = _worker
-    return (i, *dispatch(scenarios[i]))
+    Each worker has its own pipe and one scenario index in flight, and no
+    lock is shared between processes, so a worker can be killed at any
+    moment.  Closing the generator kills and reaps every worker.
+    """
+    todo = iter(order)
+    workers = {}
+    try:
+        for _ in range(jobs):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_worker_loop,
+                args=(child, network, scenarios, config, backend),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            workers[conn] = proc
+            conn.send(next(todo))
+        busy = set(workers)
+        while busy:
+            for conn in wait(busy):
+                try:
+                    i, tag, payload = conn.recv()
+                except EOFError:
+                    proc = workers[conn]
+                    proc.join()
+                    message = f"dispatch worker exited with code {proc.exitcode}"
+                    raise SolverFailure(message) from None
+                if tag == "error":
+                    raise payload
+                busy.discard(conn)
+                nxt = next(todo, None)
+                if nxt is not None:
+                    conn.send(nxt)
+                    busy.add(conn)
+                yield i, tag, payload
+    finally:
+        for proc in workers.values():
+            proc.kill()
+        for conn, proc in workers.items():
+            proc.join()
+            conn.close()
 
 
 def solve_all_scenarios(
@@ -188,9 +240,9 @@ def solve_all_scenarios(
 
     The dispatch LP is assembled once per sweep, or once per pool worker
     with ``jobs > 1``, and re-targeted at each further scenario by changing
-    only its balance right-hand side and curtailment bounds.  Pool tasks are
-    single scenario indices; the pool is torn down as soon as the sweep
-    ends, by its verdict or by any error.
+    only its balance right-hand side and curtailment bounds.  Pool workers
+    receive single scenario indices over their own pipes; they are killed
+    as soon as the sweep ends, by its verdict or by any error.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)
@@ -214,14 +266,11 @@ def solve_all_scenarios(
         return results
 
     if jobs > 1 and n > 1:
-        pool = multiprocessing.Pool(
-            min(jobs, n), _init_worker, (network, scenarios, config, backend)
-        )
+        arrivals = _pool_arrivals(network, scenarios, config, backend, min(jobs, n), order)
         try:
-            results = collect(pool.imap_unordered(_dispatch_index, order))
+            results = collect(arrivals)
         finally:
-            pool.terminate()
-            pool.join()
+            arrivals.close()
     else:
         dispatch = _dispatcher(network, config, backend)
         results = collect((i, *dispatch(scenarios[i])) for i in order)

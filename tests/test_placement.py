@@ -11,7 +11,14 @@ import pytest
 from gridstore import lp as lpmod
 from gridstore import placement, runners
 from gridstore.config import load_run_config
-from gridstore.dispatch import DispatchConfig, DispatchSolution, Scenario, lookahead_dispatch
+from gridstore.dispatch import (
+    DispatchConfig,
+    DispatchSolution,
+    Scenario,
+    build_dispatch_lp,
+    lookahead_dispatch,
+    solve_dispatch_lp,
+)
 from gridstore.errors import (
     AllScenariosInfeasible,
     SolverFailure,
@@ -363,6 +370,25 @@ def test_fixed_placement_infeasible_is_reported_cleanly():
     # with storage allowed at the wind bus the same system is fine
     stats, _ = evaluate_fixed_placement(net, sset, frozenset({0}), PerfWeights(), backend="highs")
     assert stats.s_bar_max[0] > 0
+
+
+def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
+    # the elementwise max of the per-scenario capacities serves every scenario:
+    # pin the capacity columns of each sized LP there and re-solve
+    net = chain_network()
+    sset = chain_scenarios(seed=21)
+    state = greedy_placement(net, sset, PerfWeights(site_cost=0.05), backend="highs")
+    if not state.nodes:
+        pytest.skip("greedy pruned to empty set on this seed")
+    cfg = DispatchConfig(storage_nodes=frozenset(state.nodes))
+    pad = 1e-6  # float headroom on top of the elementwise max
+    for scen in sset.scenarios[:10]:
+        prog, idx = build_dispatch_lp(net, scen, cfg)
+        for col, cap in ((idx.s_bar, state.stats.s_bar_max), (idx.ps_bar, state.stats.ps_bar_max)):
+            prog.var_lower[col] = prog.var_upper[col] = cap + pad
+        sol = solve_dispatch_lp(net, scen, cfg, prog, idx, backend="highs")
+        assert sol.status is Status.OPTIMAL
+        assert np.allclose(sol.s_bar, state.stats.s_bar_max + pad)
 
 
 def test_parallel_sweep_matches_serial():
