@@ -37,7 +37,7 @@ class RunConfig:
     seed: int
     raw: dict = field(default_factory=dict)  # resolved echo for reports
 
-    def synthetic_params(self, n_steps_default: int = 24) -> tuple[SyntheticParams, float, int]:
+    def synthetic_params(self) -> tuple[SyntheticParams, float, int]:
         """(params, dt_hours, n_steps) for a synthetic scenario spec."""
         spec = self.scenario_spec
         params = SyntheticParams(
@@ -51,7 +51,7 @@ class RunConfig:
             load_noise=float(spec.get("load_noise", 0.01)),
         )
         dt = float(spec.get("dt_hours", 1.0 / 12.0))
-        n_steps = int(spec.get("n_steps", n_steps_default))
+        n_steps = int(spec.get("n_steps", 24))
         return params, dt, n_steps
 
 

@@ -62,7 +62,6 @@ class LinearProgram:
     row_upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
     var_lower: np.ndarray | None = None
     var_upper: np.ndarray | None = None
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.cost = np.asarray(self.cost, dtype=float)
@@ -495,44 +494,3 @@ def solve_with_backend(lp: LinearProgram, backend: str = "simplex") -> LpSolutio
         raise ValidationError(f"unknown LP backend {backend!r}") from None
     return fn(lp)
 
-
-# ---------------------------------------------------------------------------
-# Text dump (for debugging against external solvers)
-# ---------------------------------------------------------------------------
-
-
-def write_lp_text(lp: LinearProgram, path) -> None:
-    """Dump in CPLEX LP text format; range rows become constraint pairs."""
-
-    def vname(j: int) -> str:
-        return lp.names[j] if lp.names else f"x{j}"
-
-    def terms(entries) -> str:
-        parts = []
-        for j, v in entries:
-            sign = "+" if v >= 0 else "-"
-            parts.append(f"{sign} {abs(v):.17g} {vname(j)}")
-        return " ".join(parts) if parts else "0 " + vname(0)
-
-    A = lp.matrix()
-    lines = ["Minimize", " obj: " + terms(list(enumerate(lp.cost))), "Subject To"]
-    for r in range(lp.n_rows):
-        span = slice(A.indptr[r], A.indptr[r + 1])
-        body = terms(zip(A.indices[span], A.data[span]))
-        lo, hi = lp.row_lower[r], lp.row_upper[r]
-        if lo == hi:
-            lines.append(f" r{r}: {body} = {lo:.17g}")
-            continue
-        if np.isfinite(hi):
-            lines.append(f" r{r}_u: {body} <= {hi:.17g}")
-        if np.isfinite(lo):
-            lines.append(f" r{r}_l: {body} >= {lo:.17g}")
-    lines.append("Bounds")
-    for j in range(lp.n_vars):
-        lo, hi = lp.var_lower[j], lp.var_upper[j]
-        lo_s = f"{lo:.17g}" if np.isfinite(lo) else "-inf"
-        hi_s = f"{hi:.17g}" if np.isfinite(hi) else "+inf"
-        lines.append(f" {lo_s} <= {vname(j)} <= {hi_s}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

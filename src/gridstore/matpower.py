@@ -30,6 +30,7 @@ from .errors import ParseError, UnsupportedFeature, ValidationError
 from .network import Bus, Generator, Line, Network, RenewableSite
 
 DEFAULT_DT_HOURS = 1.0 / 12.0  # 5-minute dispatch steps
+DEFAULT_COST = 1.0  # $/MWh for a generator without a gencost row
 DEFAULT_RAMP_FRACTION_PER_5MIN = 0.20
 
 
@@ -90,9 +91,7 @@ def _linear_cost(row: list[float], p_max: float, path) -> float:
     raise UnsupportedFeature(f"gencost model {model}", path)
 
 
-def import_matpower_document(
-    path, dt_hours: float = DEFAULT_DT_HOURS, default_cost: float = 1.0
-) -> MatpowerDocument:
+def import_matpower_document(path, dt_hours: float = DEFAULT_DT_HOURS) -> MatpowerDocument:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -152,7 +151,7 @@ def import_matpower_document(
         if bus_num not in dense:
             raise ValidationError(f"{path}: generator {k} references unknown bus {bus_num}")
         p_max = float(row[8]) if len(row) > 8 else 0.0
-        cost = default_cost
+        cost = DEFAULT_COST
         if k < len(cost_rows):
             cost = float(_linear_cost(cost_rows[k], p_max, path))
         ramp_10 = row[17] if len(row) > 17 else 0.0

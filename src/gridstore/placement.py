@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 
@@ -299,22 +300,21 @@ def solve_all_scenarios(
 
 @dataclass(eq=False)
 class SubsetEvaluation:
-    nodes: tuple[int, ...]
+    """One dispatched node set: its worst-case capacities, metrics and perf."""
+
     stats: CapacityStats
     energy_metric: float
     power_metric: float
     perf: float
-    dropped: int
     dropped_indices: tuple[int, ...] = ()  # the dropped scenarios, in index order
 
-    def metrics(self) -> dict:
-        """The metrics :func:`evaluate_fixed_placement` reports."""
-        return {
-            "energy_metric": self.energy_metric,
-            "power_metric": self.power_metric,
-            "perf": self.perf,
-            "dropped": self.dropped,
-        }
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return self.stats.nodes
+
+    @property
+    def dropped(self) -> int:
+        return len(self.dropped_indices)
 
 
 def _metric_or_zero(metric_fn, solutions, scenarios, stats) -> float:
@@ -350,15 +350,7 @@ def evaluate_subset(
     stats = CapacityStats.from_solutions(nodes, solutions)
     energy = _metric_or_zero(normalized_energy_capacity, solutions, kept, stats)
     power = _metric_or_zero(normalized_power_capacity, solutions, kept, stats)
-    return SubsetEvaluation(
-        nodes=tuple(sorted(nodes)),
-        stats=stats,
-        energy_metric=energy,
-        power_metric=power,
-        perf=perf(nodes, energy, weights),
-        dropped=len(dropped),
-        dropped_indices=tuple(dropped),
-    )
+    return SubsetEvaluation(stats, energy, power, perf(nodes, energy, weights), tuple(dropped))
 
 
 def evaluate_fixed_placement(
@@ -378,7 +370,12 @@ def evaluate_fixed_placement(
     if not nodes:
         raise ValidationError("fixed placement needs at least one node")
     ev = evaluate_subset(network, scenario_set, nodes, weights, dispatch, backend, jobs)
-    return ev.stats, ev.metrics()
+    return ev.stats, {
+        "energy_metric": ev.energy_metric,
+        "power_metric": ev.power_metric,
+        "perf": ev.perf,
+        "dropped": ev.dropped,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +461,28 @@ def _binding_first_order(
 
 
 @dataclass(eq=False)
-class RoundRecord:
-    nodes: tuple[int, ...]
-    stats: CapacityStats
-    perf: float
-    energy_metric: float
-    power_metric: float
-    gamma: float | None  # threshold that produced this round's set (None for the first)
-    dropped: int
-
-
-@dataclass(eq=False)
 class PlacementState:
-    nodes: frozenset
-    stats: CapacityStats
-    perf_value: float
-    rounds: list[RoundRecord]
+    rounds: list[SubsetEvaluation]  # one per pruning round; the last is the placement
+    gammas: list[float | None]  # threshold that produced each round's set (None for the first)
     epsilon: float
     epsilon_prime: float
-    # every subset greedy evaluated: its evaluation, or the infeasibility that ended it
+    # every subset evaluated so far: its evaluation, or the infeasibility that ended it
     verdicts: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible]
+    # greedy's memoized evaluation; it raises a remembered infeasibility again
+    # and records each new subset in verdicts
+    evaluate: Callable[[frozenset], SubsetEvaluation]
+
+    @property
+    def nodes(self) -> frozenset:
+        return frozenset(self.rounds[-1].nodes)
+
+    @property
+    def stats(self) -> CapacityStats:
+        return self.rounds[-1].stats
+
+    @property
+    def perf_value(self) -> float:
+        return self.rounds[-1].perf
 
 
 def greedy_placement(
@@ -491,21 +490,23 @@ def greedy_placement(
     scenario_set: ScenarioSet,
     weights: PerfWeights = PerfWeights(),
     epsilon: float | None = None,
+    epsilon_rel: float = 0.01,
     epsilon_prime: float = 0.05,
     dispatch: DispatchConfig = DispatchConfig(),
     backend: str = "highs",
     jobs: int = 1,
-    initial_nodes=None,
 ) -> PlacementState:
     """Greedy pruning of the storage node set under repeated re-dispatch.
 
     Starts from storage at every bus, keeps the subset of nodes whose
     worst-case capacity clears the best improving threshold, and stops when
     no threshold improves perf by more than epsilon or the chosen threshold
-    is within epsilon_prime of 1.  ``epsilon=None`` uses 1% of the initial
-    perf value.  Each candidate's sweep dispatches its scenarios in
-    :func:`_binding_first_order`, so an infeasible candidate reaches its
-    verdict early; the results do not depend on that order.
+    is within epsilon_prime of 1.  ``epsilon=None`` uses ``epsilon_rel``
+    times the initial perf value.  Each candidate's sweep dispatches its
+    scenarios in :func:`_binding_first_order`, so an infeasible candidate
+    reaches its verdict early; the results do not depend on that order.
+    The returned state's ``evaluate`` is the same memoized evaluation, so
+    later callers reuse every verdict greedy reached.
     """
     if len(scenario_set) == 0:
         raise ValidationError("scenario set is empty")
@@ -536,14 +537,10 @@ def greedy_placement(
             raise memo[nodes]
         return memo[nodes]
 
-    current = frozenset(
-        initial_nodes if initial_nodes is not None else range(network.n_buses)
-    )
+    current = frozenset(range(network.n_buses))
     ev = evaluate(current)
-    eps = epsilon if epsilon is not None else max(0.01 * ev.perf, 1e-12)
-    rounds = [
-        RoundRecord(ev.nodes, ev.stats, ev.perf, ev.energy_metric, ev.power_metric, None, ev.dropped)
-    ]
+    eps = epsilon if epsilon is not None else max(epsilon_rel * ev.perf, 1e-12)
+    rounds, gammas = [ev], [None]
 
     while current:
         parent = ev
@@ -552,26 +549,15 @@ def greedy_placement(
             break
         gamma, ev = hit
         current = frozenset(ev.nodes)
-        rounds.append(
-            RoundRecord(
-                ev.nodes, ev.stats, ev.perf, ev.energy_metric, ev.power_metric, gamma, ev.dropped
-            )
-        )
+        rounds.append(ev)
+        gammas.append(gamma)
         logger.info(
             "pruned to %d nodes at gamma=%.4f, perf=%.6f", len(current), gamma, ev.perf
         )
         if 1.0 - gamma <= epsilon_prime:
             break
 
-    return PlacementState(
-        nodes=current,
-        stats=ev.stats,
-        perf_value=ev.perf,
-        rounds=rounds,
-        epsilon=eps,
-        epsilon_prime=epsilon_prime,
-        verdicts=memo,
-    )
+    return PlacementState(rounds, gammas, eps, epsilon_prime, memo, evaluate)
 
 
 def baseline_nodes(network: Network, scenario_set: ScenarioSet) -> frozenset:

@@ -11,12 +11,11 @@ import numpy as np
 
 from .config import RunConfig
 from .dispatch import lookahead_dispatch, verify_dispatch
-from .errors import AllScenariosInfeasible, ValidationError
+from .errors import ValidationError
 from .fileio import load_network_document
 from .placement import (
     PlacementState,
     baseline_nodes,
-    evaluate_fixed_placement,
     evaluate_subset,
     greedy_placement,
 )
@@ -40,16 +39,16 @@ def build_scenarios(cfg: RunConfig, network, base_load) -> ScenarioSet:
 
 def _iteration_rows(state: PlacementState) -> list[dict]:
     rows = []
-    for i, rec in enumerate(state.rounds):
+    for i, (ev, gamma) in enumerate(zip(state.rounds, state.gammas)):
         rows.append(
             {
                 "round": i,
-                "set_size": len(rec.nodes),
-                "perf": float(rec.perf),
-                "energy_metric": float(rec.energy_metric),
-                "power_metric": float(rec.power_metric),
-                "gamma": None if rec.gamma is None else float(rec.gamma),
-                "dropped": rec.dropped,
+                "set_size": len(ev.nodes),
+                "perf": float(ev.perf),
+                "energy_metric": float(ev.energy_metric),
+                "power_metric": float(ev.power_metric),
+                "gamma": None if gamma is None else float(gamma),
+                "dropped": ev.dropped,
             }
         )
     return rows
@@ -74,6 +73,7 @@ def run_place(cfg: RunConfig) -> Report:
         sset,
         cfg.weights,
         epsilon=cfg.epsilon,
+        epsilon_rel=cfg.epsilon_rel,
         epsilon_prime=cfg.epsilon_prime,
         dispatch=cfg.dispatch,
         backend=cfg.solver,
@@ -88,29 +88,20 @@ def run_place(cfg: RunConfig) -> Report:
             baseline = {"note": "no renewable or intertie buses to place at"}
         else:
             try:
-                verdict = state.verdicts.get(nodes)  # greedy may have dispatched it already
-                if verdict is None:
-                    stats, metrics = evaluate_fixed_placement(
-                        network, sset, nodes, cfg.weights, cfg.dispatch, cfg.solver, cfg.jobs
-                    )
-                elif isinstance(verdict, AllScenariosInfeasible):
-                    raise verdict
-                else:
-                    stats, metrics = verdict.stats, verdict.metrics()
-                greedy_energy = state.rounds[-1].energy_metric
-                greedy_power = state.rounds[-1].power_metric
+                ev = state.evaluate(nodes)  # greedy may have dispatched it already
+                greedy = state.rounds[-1]
                 baseline = {
                     "nodes": sorted(int(b) for b in nodes),
-                    "energy_metric": metrics["energy_metric"],
-                    "power_metric": metrics["power_metric"],
-                    "perf": metrics["perf"],
+                    "energy_metric": ev.energy_metric,
+                    "power_metric": ev.power_metric,
+                    "perf": ev.perf,
                     "energy_ratio_vs_greedy": (
-                        metrics["energy_metric"] / greedy_energy if greedy_energy > 0 else None
+                        ev.energy_metric / greedy.energy_metric if greedy.energy_metric > 0 else None
                     ),
                     "power_ratio_vs_greedy": (
-                        metrics["power_metric"] / greedy_power if greedy_power > 0 else None
+                        ev.power_metric / greedy.power_metric if greedy.power_metric > 0 else None
                     ),
-                    "capacities": _capacity_rows(stats),
+                    "capacities": _capacity_rows(ev.stats),
                 }
             except Exception as exc:  # baseline failure should not kill the run
                 baseline = {"error": f"{type(exc).__name__}: {exc}"}
@@ -122,7 +113,7 @@ def run_place(cfg: RunConfig) -> Report:
         iterations=_iteration_rows(state),
         final_placement=_capacity_rows(state.stats),
         baseline=baseline,
-        histograms={str(i): _capacity_rows(rec.stats) for i, rec in enumerate(state.rounds)},
+        histograms={str(i): _capacity_rows(ev.stats) for i, ev in enumerate(state.rounds)},
         sweep=[],
         timing={
             "scenario_seconds": t_scen - t_start,

@@ -10,7 +10,6 @@ from gridstore.lp import (
     solve_highs,
     solve_highs_ipm,
     solve_with_backend,
-    write_lp_text,
 )
 from lp_oracle import certifies_ray, oracle_solve, random_bounded_lp
 
@@ -247,20 +246,3 @@ def test_backend_registry():
     with pytest.raises(ValidationError):
         solve_with_backend(lp, "nope")
 
-
-def test_lp_text_dump(tmp_path):
-    lp = LinearProgram(
-        n_vars=2,
-        cost=[1.0, -2.0],
-        A=[[1.0, 2.0], [1.0, -1.0]],
-        row_lower=[-np.inf, 1.0],
-        row_upper=[5.0, 1.0],
-        var_lower=[0.0, -1.0],
-        var_upper=[4.0, np.inf],
-    )
-    path = tmp_path / "dump.lp"
-    write_lp_text(lp, path)
-    text = path.read_text()
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    assert "= 1" in text  # the equality row
-    assert "<= 5" in text

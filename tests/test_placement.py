@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import json
 import logging
 import multiprocessing
 import signal
@@ -224,9 +226,7 @@ def test_greedy_dispatches_each_subset_once(monkeypatch):
         if nodes not in caps:
             raise AllScenariosInfeasible(f"subset {sorted(nodes)}")
         s_bar, p = caps[nodes]
-        return SubsetEvaluation(
-            tuple(sorted(nodes)), stats_from_caps(s_bar, sorted(nodes)), p, p, p, 0
-        )
+        return SubsetEvaluation(stats_from_caps(s_bar, sorted(nodes)), p, p, p)
 
     monkeypatch.setattr(placement, "evaluate_subset", counting_stub)
     net = Network(buses=[Bus(i, is_slack=(i == 0)) for i in range(4)], lines=[])
@@ -234,8 +234,31 @@ def test_greedy_dispatches_each_subset_once(monkeypatch):
     state = greedy_placement(net, ScenarioSet([scen]), epsilon=0.01)
     assert calls == [frozenset({0, 1, 2, 3}), frozenset({0}), frozenset({0, 1})]
     assert [r.nodes for r in state.rounds] == [(0, 1, 2, 3), (0, 1)]
-    assert [r.gamma for r in state.rounds] == [None, 0.75]
+    assert state.gammas == [None, 0.75]
     assert state.perf_value == 0.5
+    # the state keeps greedy's memo: known verdicts come back without a dispatch
+    assert state.evaluate(state.nodes) is state.rounds[-1]
+    with pytest.raises(AllScenariosInfeasible):
+        state.evaluate(frozenset({0}))
+    assert len(calls) == 3
+
+
+def test_greedy_relative_epsilon_scales_the_initial_perf(monkeypatch):
+    # pruning {0, 1} to {0} lowers perf from 1.0 to 0.6: more than 1% of 1.0, less than 50%
+    perfs = {frozenset({0, 1}): 1.0, frozenset({0}): 0.6}
+
+    def stub(network, scenario_set, nodes, *args, **kwargs):
+        caps = [4.0, 1.0][: len(nodes)]
+        p = perfs[frozenset(nodes)]
+        return SubsetEvaluation(stats_from_caps(caps, sorted(nodes)), p, p, p)
+
+    monkeypatch.setattr(placement, "evaluate_subset", stub)
+    net = Network(buses=[Bus(i, is_slack=(i == 0)) for i in range(2)], lines=[])
+    scen = Scenario(dt_hours=DT, renewable=np.zeros((1, 0)), load=np.zeros((1, 2)))
+    for epsilon_rel, sizes in ((0.01, [2, 1]), (0.5, [2])):
+        state = greedy_placement(net, ScenarioSet([scen]), epsilon_rel=epsilon_rel)
+        assert state.epsilon == epsilon_rel
+        assert [len(r.nodes) for r in state.rounds] == sizes
 
 
 # -- chain instance: greedy vs exhaustive ------------------------------------
@@ -306,12 +329,12 @@ def test_pruned_nodes_were_below_threshold():
     net = chain_network()
     sset = chain_scenarios(seed=5)
     state = greedy_placement(net, sset, PerfWeights(site_cost=0.05), backend="highs")
-    for prev, cur in zip(state.rounds, state.rounds[1:]):
+    for prev, cur, gamma in zip(state.rounds, state.rounds[1:], state.gammas[1:]):
         top = max(prev.stats.s_bar_max, default=0.0) if len(prev.stats.s_bar_max) else 0.0
         removed = set(prev.nodes) - set(cur.nodes)
         caps = dict(zip(prev.stats.nodes, prev.stats.s_bar_max))
         for node in removed:
-            assert caps[node] < cur.gamma * top + 1e-9
+            assert caps[node] < gamma * top + 1e-9
 
 
 def test_zero_fluctuation_prunes_to_empty_set():
@@ -335,7 +358,7 @@ def test_zero_fluctuation_prunes_to_empty_set():
     assert len(state.rounds) == 2  # initial full set, then the empty set
     assert np.all(state.rounds[0].stats.s_bar_max <= 1e-7)
     assert [len(r.nodes) for r in state.rounds] == [3, 0]
-    assert state.rounds[1].gamma == 1.0  # the threshold that emptied the set
+    assert state.gammas[1] == 1.0  # the threshold that emptied the set
 
 
 def test_fixed_placement_idempotent_with_greedy_output():
@@ -505,9 +528,7 @@ def test_sweep_rejects_an_order_that_is_not_a_permutation():
 def test_binding_first_order_ranks_by_dropped_ps_bar():
     # scenarios 0, 1, 3 were kept by the parent round; 2 was dropped there
     ps_bar = np.array([[1.0, 0.5, 9.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.5]])
-    parent = SubsetEvaluation(
-        (0, 4, 7), CapacityStats((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar), 1, 1, 1, 1, (2,)
-    )
+    parent = SubsetEvaluation(CapacityStats((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar), 1, 1, 1, (2,))
     # dropping nodes 4 and 7 leaves loads 9.5, 2.0, 0 and 0.5 on scenarios 0, 1, 2, 3
     assert placement._binding_first_order(parent, frozenset({0}), set(), 4) == [0, 1, 3, 2]
     assert placement._binding_first_order(parent, frozenset({0}), {2, 3}, 4) == [3, 2, 0, 1]
@@ -584,8 +605,8 @@ def test_aborting_pool_sweeps_do_not_hang():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
-    cfg = quickstart_config(tmp_path, seed=7)  # its baseline {0} is the greedy final set
+def count_evaluations(monkeypatch) -> list[frozenset]:
+    """Record the node set of every evaluate_subset call from here on."""
     calls = []
     evaluate = placement.evaluate_subset
 
@@ -594,6 +615,12 @@ def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
         return evaluate(network, scenario_set, nodes, *args, **kwargs)
 
     monkeypatch.setattr(placement, "evaluate_subset", counting_evaluate)
+    return calls
+
+
+def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
+    cfg = quickstart_config(tmp_path, seed=7)  # its baseline {0} is the greedy final set
+    calls = count_evaluations(monkeypatch)
     report = runners.run_place(cfg)
     network, base_load = runners.load_network_document(cfg.network_path)
     sset = runners.build_scenarios(cfg, network, base_load)
@@ -611,6 +638,63 @@ def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
     assert [row["ps_bar_mw"] for row in caps] == stats.ps_bar_max.tolist()
 
 
+def test_place_dispatches_an_untried_baseline_once_after_greedy(monkeypatch, tmp_path):
+    cfg = quickstart_config(tmp_path, seed=15)  # greedy never tries the baseline {0}
+    calls = count_evaluations(monkeypatch)
+    states = []
+
+    def keep_state(*args, **kwargs):
+        states.append(greedy_placement(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(runners, "greedy_placement", keep_state)
+    report = runners.run_place(cfg)
+    nodes = frozenset(report.baseline["nodes"])
+    assert calls[-1] == nodes and calls.count(nodes) == 1
+    assert len(calls) == len(set(calls))
+    assert list(states[0].verdicts) == calls  # the baseline's verdict joins greedy's
+
+    network, base_load = runners.load_network_document(cfg.network_path)
+    sset = runners.build_scenarios(cfg, network, base_load)
+    assert nodes == placement.baseline_nodes(network, sset)
+    _, metrics = evaluate_fixed_placement(
+        network, sset, nodes, cfg.weights, cfg.dispatch, cfg.solver
+    )
+    for key in ("energy_metric", "power_metric", "perf"):
+        assert report.baseline[key] == metrics[key]
+
+
+def test_place_passes_every_placement_setting_to_greedy(monkeypatch, tmp_path):
+    # every placement field at a non-default value; baseline is run_place's own, not greedy's
+    case = Path(__file__).resolve().parent.parent / "cases"
+    doc = json.loads((case / "quickstart_place.json").read_text())
+    doc["network"] = str(case / doc["network"])
+    doc["placement"] = {
+        "energy_weight": 2.0,
+        "site_cost": 0.5,
+        "epsilon": 0.03,
+        "epsilon_rel": 0.5,
+        "epsilon_prime": 0.2,
+        "baseline": False,
+    }
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    cfg = load_run_config(tmp_path / "run.json", {"out_dir": str(tmp_path)})
+    seen = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(*args, **kwargs):
+        seen.update(inspect.signature(greedy_placement).bind(*args, **kwargs).arguments)
+        raise Captured
+
+    monkeypatch.setattr(runners, "greedy_placement", capture)
+    with pytest.raises(Captured):
+        runners.run_place(cfg)
+    assert seen["weights"] == PerfWeights(energy_weight=2.0, site_cost=0.5)
+    assert (seen["epsilon"], seen["epsilon_rel"], seen["epsilon_prime"]) == (0.03, 0.5, 0.2)
+
+
 def test_place_baseline_reuses_greedy_infeasibility(monkeypatch, tmp_path):
     # greedy finds {0} infeasible on the way to {0, 1}; the baseline {0}
     # then reports the same error record a fresh dispatch would have raised
@@ -623,9 +707,7 @@ def test_place_baseline_reuses_greedy_infeasibility(monkeypatch, tmp_path):
             raise AllScenariosInfeasible("3 of 30 scenarios infeasible for storage set [0]")
         caps = {3: [4.0, 3.0, 2.0], 2: [4.0, 3.0]}[len(nodes)]
         p = 1.0 if len(nodes) == 3 else 0.5
-        return SubsetEvaluation(
-            tuple(sorted(nodes)), stats_from_caps(caps, sorted(nodes)), p, p, p, 0
-        )
+        return SubsetEvaluation(stats_from_caps(caps, sorted(nodes)), p, p, p)
 
     monkeypatch.setattr(placement, "evaluate_subset", stub)
     report = runners.run_place(quickstart_config(tmp_path, seed=7))
