@@ -73,6 +73,20 @@ def _env_overrides() -> dict:
     return out
 
 
+def _flag(value, name: str, path) -> bool:
+    """``value`` if it is a JSON boolean; ``bool("false")`` would be True."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: {name} must be true or false, got {value!r}")
+    return value
+
+
+def _integer(value, name: str, path) -> int:
+    """``value`` if it is a JSON integer, not a float that ``int`` would truncate."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: {name} must be an integer, got {value!r}")
+    return value
+
+
 def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
@@ -116,15 +130,15 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
         if "dt_hours" not in spec:
             raise ValidationError(f"{path}: csv scenario source needs 'dt_hours'")
     else:
-        if int(spec.get("n_scenarios", 100)) < 1:
+        if _integer(spec.get("n_scenarios", 100), "n_scenarios", path) < 1:
             raise ValidationError(f"{path}: n_scenarios must be >= 1")
 
     disp = merged.get("dispatch", {})
     dispatch = DispatchConfig(
         storage_energy_cost=float(disp.get("storage_energy_cost", 200.0)),
         storage_power_cost=float(disp.get("storage_power_cost", 20.0)),
-        allow_curtailment=bool(disp.get("allow_curtailment", False)),
-        initial_soc_free=bool(disp.get("initial_soc_free", True)),
+        allow_curtailment=_flag(disp.get("allow_curtailment", False), "allow_curtailment", path),
+        initial_soc_free=_flag(disp.get("initial_soc_free", True), "initial_soc_free", path),
     )
 
     place = merged.get("placement", {})
@@ -151,14 +165,14 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     solver = merged.get("solver", "highs")
     if solver not in SOLVERS:
         raise ValidationError(f"{path}: solver must be one of {SOLVERS}")
-    jobs = int(merged.get("jobs", 1))
+    jobs = _integer(merged.get("jobs", 1), "jobs", path)
     if jobs < 1:
         raise ValidationError(f"{path}: jobs must be >= 1")
 
     out_dir = Path(merged.get("out_dir", "gridstore-out"))
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
-    seed = int(merged.get("seed", spec.get("seed", 0)))
+    seed = _integer(merged.get("seed", spec.get("seed", 0)), "seed", path)
 
     echo = {
         k: v
@@ -180,7 +194,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
         epsilon_prime=epsilon_prime,
-        baseline=bool(place.get("baseline", True)),
+        baseline=_flag(place.get("baseline", True), "baseline", path),
         sweep_levels=levels,
         solver=solver,
         jobs=jobs,

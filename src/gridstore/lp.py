@@ -9,10 +9,12 @@ Three interchangeable solvers implement the same result contract:
 
 * :func:`solve` - the in-repo bounded-variable two-phase revised simplex.
   Deterministic, dense basis arithmetic, intended for desk-scale instances.
-* :func:`solve_highs` and :func:`solve_highs_ipm` - thin adapters over
-  scipy's HiGHS dual simplex and interior point for large dispatch
-  instances.  They share one status table and one result path, and take
-  no tolerance: HiGHS runs with its own defaults.
+* :func:`solve_highs` and :func:`solve_highs_ipm` - HiGHS dual simplex and
+  interior point for large dispatch instances, through one adapter over
+  the HiGHS bindings bundled with scipy.  They pass the model and options
+  of scipy's ``milp`` and ``linprog(method="highs-ipm")``, share one status
+  table and one result path, report HiGHS's iteration count, and take no
+  tolerance: HiGHS runs with its own defaults.
 
 Every solver answers a program without variables the same way, returns
 ``x`` clipped into the variable bounds with its worst residual, and reports
@@ -23,6 +25,7 @@ an exception.  :func:`solve_with_backend` picks a solver by name.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,69 +422,168 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# External backend (HiGHS via scipy)
+# External backend (HiGHS through the bindings bundled with scipy)
 # ---------------------------------------------------------------------------
 
+_HIGHS_SCIPY = "1.15"  # the first scipy that ships scipy.optimize._highspy._core
 
-# HiGHS reports the same codes through milp and linprog; 0 is optimal and
-# anything missing here (4: numerical trouble or a model error) is a failure.
-_HIGHS_STATUS = {1: Status.ITERATION_LIMIT, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
+# HiGHS model statuses, by name, that answer the LP; any other is a failure
+_HIGHS_STATUS = {
+    "kOptimal": Status.OPTIMAL,
+    "kInfeasible": Status.INFEASIBLE,
+    "kModelError": Status.INFEASIBLE,
+    "kIterationLimit": Status.ITERATION_LIMIT,
+    "kTimeLimit": Status.ITERATION_LIMIT,
+    "kUnbounded": Status.UNBOUNDED,
+}
+
+# linprog's post-solve tolerance: 10 * sqrt(tol) at its default tol of 1e-9
+_IPM_RESIDUAL_TOL = 10 * np.sqrt(1e-9)
 
 
-def _highs_result(lp: LinearProgram, res, iterations: int, name: str) -> LpSolution:
-    """The :class:`LpSolution` for a HiGHS result; ``x`` is clipped into its bounds."""
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        np.clip(x, lp.var_lower, lp.var_upper, out=x)
-        return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), iterations, max_violation(lp, x))
-    if res.status in _HIGHS_STATUS:
-        return LpSolution(_HIGHS_STATUS[res.status], iterations=iterations)
-    raise SolverFailure(f"{name} stopped with status {res.status}: {res.message}")
+@functools.cache
+def _highs():
+    """scipy's bundled HiGHS bindings, imported on first use."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        import scipy
+
+        raise ImportError(
+            f"the HiGHS backends need scipy>={_HIGHS_SCIPY}, which bundles "
+            f"scipy.optimize._highspy._core; this is scipy {scipy.__version__}"
+        ) from exc
+    return _core
+
+
+@functools.cache
+def _highs_options(ipm: bool):
+    """The options ``milp``, or ``linprog(method="highs-ipm")``, passes to HiGHS."""
+    h = _highs()
+    opts = h.HighsOptions()
+    opts.log_to_console = False
+    if ipm:
+        opts.presolve = "on"
+        opts.solver = "ipm"
+        opts.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        opts.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+        opts.output_flag = False
+    return opts
+
+
+def _highs_status(model_status, name: str) -> Status:
+    try:
+        return _HIGHS_STATUS[model_status.name]
+    except KeyError:
+        raise SolverFailure(f"{name} stopped with model status {model_status.name}") from None
+
+
+def _run_highs(lp: LinearProgram, A, row_lower, row_upper, n_upper=None) -> LpSolution:
+    """Solve ``min c'x`` over ``row_lower <= Ax <= row_upper`` (CSR ``A``) and lp's bounds.
+
+    Without ``n_upper`` this is HiGHS dual simplex, as ``milp`` runs it.  With
+    the rows of :func:`_ipm_rows` it is HiGHS interior point, as ``linprog``
+    runs it, followed by linprog's post-solve check.
+    """
+    h = _highs()
+    ipm = n_upper is not None
+    name = "HiGHS IPM" if ipm else "HiGHS"
+    model = h.HighsLp()
+    model.num_col_ = lp.n_vars
+    model.num_row_ = len(row_lower)
+    model.col_cost_ = lp.cost
+    model.col_lower_ = lp.var_lower
+    model.col_upper_ = lp.var_upper
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    matrix = model.a_matrix_
+    matrix.format_ = h.MatrixFormat.kRowwise
+    matrix.num_col_ = lp.n_vars
+    matrix.num_row_ = len(row_lower)
+    matrix.start_ = A.indptr
+    matrix.index_ = A.indices
+    matrix.value_ = A.data
+
+    highs = h._Highs()
+    if highs.passOptions(_highs_options(ipm)) == h.HighsStatus.kError:
+        raise SolverFailure(f"{name} rejected its options")
+    if highs.passModel(model) == h.HighsStatus.kError:
+        raise SolverFailure(f"{name} rejected the model")
+    if highs.run() == h.HighsStatus.kError:
+        raise SolverFailure(f"{name} failed with model status {highs.getModelStatus().name}")
+    status = _highs_status(highs.getModelStatus(), name)
+    info = highs.getInfo()
+    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    if status is not Status.OPTIMAL:
+        return LpSolution(status, iterations=iterations)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    if ipm:
+        _check_ipm_solution(lp, x, np.array(solution.row_value), row_upper, n_upper)
+    np.clip(x, lp.var_lower, lp.var_upper, out=x)
+    return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), iterations, max_violation(lp, x))
+
+
+def _ipm_rows(lp: LinearProgram):
+    """linprog's one-sided rows ``[A[<=]; -A[>=]; A[==]]``, ranged rows in both blocks.
+
+    Returns ``(A, row_lower, row_upper, n_upper)``; the first ``n_upper``
+    rows are the ``<=`` rows, with ``row_lower = -inf``.
+    """
+    eq = lp.row_lower == lp.row_upper
+    upper = np.flatnonzero(np.isfinite(lp.row_upper) & ~eq)
+    lower = np.flatnonzero(np.isfinite(lp.row_lower) & ~eq)
+    equal = np.flatnonzero(eq)
+    A = lp.matrix()[np.concatenate([upper, lower, equal])]
+    A.data[A.indptr[len(upper)] : A.indptr[len(upper) + len(lower)]] *= -1.0
+    n_upper = len(upper) + len(lower)
+    row_upper = np.concatenate([lp.row_upper[upper], -lp.row_lower[lower], lp.row_lower[equal]])
+    row_lower = np.concatenate([np.full(n_upper, -INF), lp.row_lower[equal]])
+    return A, row_lower, row_upper, n_upper
+
+
+def _check_ipm_solution(lp: LinearProgram, x, row_value, row_upper, n_upper: int) -> None:
+    """linprog's check of an optimal answer on :func:`_ipm_rows`' rows (its status 4).
+
+    NaN, or a bound, ``<=`` slack or equality residual beyond
+    ``_IPM_RESIDUAL_TOL``, raises SolverFailure.
+    """
+    resid = row_upper - row_value
+    tol = _IPM_RESIDUAL_TOL
+    if np.isnan(x).any() or np.isnan(resid).any():
+        raise SolverFailure("HiGHS IPM returned NaN in its solution")
+    if (
+        np.any(x < lp.var_lower - tol)
+        or np.any(x > lp.var_upper + tol)
+        or np.any(resid[:n_upper] < -tol)
+        or np.any(np.abs(resid[n_upper:]) > tol)
+    ):
+        raise SolverFailure(f"HiGHS IPM solution misses its constraints by more than {tol:.2e}")
 
 
 def solve_highs(lp: LinearProgram) -> LpSolution:
-    """HiGHS dual simplex via scipy's ``milp``; same result contract as :func:`solve`.
+    """HiGHS dual simplex, as ``milp`` runs it; same result contract as :func:`solve`.
 
-    ``milp`` reports no simplex iteration count, so ``iterations`` stays 0.
+    ``iterations`` is HiGHS's simplex iteration count.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     lp.validate()
     if lp.n_vars == 0:
         return _empty_program(lp)
-    constraints = []
-    if lp.n_rows:
-        constraints.append(LinearConstraint(lp.matrix(), lp.row_lower, lp.row_upper))
-    res = milp(c=lp.cost, constraints=constraints, bounds=Bounds(lp.var_lower, lp.var_upper))
-    return _highs_result(lp, res, 0, "HiGHS")
+    return _run_highs(lp, lp.matrix(), lp.row_lower, lp.row_upper)
 
 
 def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
-    """HiGHS interior point (with crossover) via scipy's ``linprog``.
+    """HiGHS interior point (with crossover), as ``linprog(method="highs-ipm")`` runs it.
 
     Much faster than simplex on large time-coupled instances with highly
     degenerate optimal faces; same result contract as :func:`solve`.
-    ``iterations`` is linprog's ``nit``.
+    ``iterations`` is HiGHS's simplex (crossover) iteration count, or its
+    IPM count when crossover made none.
     """
-    from scipy.optimize import linprog
-
     lp.validate()
     if lp.n_vars == 0:
         return _empty_program(lp)
-    A = lp.matrix().tocsc()
-    eq = lp.row_lower == lp.row_upper
-    ineq = ~eq
-    take_u = np.isfinite(lp.row_upper) & ineq
-    take_l = np.isfinite(lp.row_lower) & ineq
-    A_ub = sp.vstack([A[take_u], -A[take_l]]) if (take_u.any() or take_l.any()) else None
-    b_ub = np.concatenate([lp.row_upper[take_u], -lp.row_lower[take_l]]) if A_ub is not None else None
-    A_eq = A[eq] if eq.any() else None
-    b_eq = lp.row_lower[eq] if eq.any() else None
-    bounds = np.column_stack([lp.var_lower, lp.var_upper])
-    res = linprog(
-        lp.cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs-ipm"
-    )
-    return _highs_result(lp, res, int(res.nit), "HiGHS IPM")
+    return _run_highs(lp, *_ipm_rows(lp))
 
 
 BACKENDS = {"simplex": solve, "highs": solve_highs, "highs-ipm": solve_highs_ipm}

@@ -2,8 +2,12 @@ import dataclasses
 import json
 from pathlib import Path
 
+import pytest
+
+from gridstore.cli import main
 from gridstore.config import load_run_config
 from gridstore.dispatch import DispatchConfig
+from gridstore.errors import ValidationError
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -28,3 +32,51 @@ def test_run_config_sets_every_dispatch_field(tmp_path):
     path.write_text(json.dumps({"network": str(CASES / "quickstart3.json"), "dispatch": chosen}))
     dispatch = load_run_config(path).dispatch
     assert {name: getattr(dispatch, name) for name in chosen} == chosen
+
+
+def write_config(tmp_path, **fields):
+    doc = {"network": str(CASES / "quickstart3.json")}
+    doc.update(fields)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+BAD_FIELDS = {
+    # bool("false") is True, so a string flag used to load as True
+    "allow_curtailment": {"dispatch": {"allow_curtailment": "false"}},
+    "initial_soc_free": {"dispatch": {"initial_soc_free": "false"}},
+    "baseline": {"placement": {"baseline": "no"}},
+    # int(2.7) is 2, so a fractional count used to load truncated
+    "jobs": {"jobs": 2.7},
+    "seed": {"seed": 1.5},
+    "n_scenarios": {"scenarios": {"type": "synthetic", "n_scenarios": 30.5}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+def test_run_config_rejects_a_field_of_the_wrong_type(tmp_path, name):
+    path = write_config(tmp_path, **BAD_FIELDS[name])
+    with pytest.raises(ValidationError, match=name):
+        load_run_config(path)
+
+
+def test_run_config_keeps_json_booleans_and_integers(tmp_path):
+    path = write_config(
+        tmp_path,
+        dispatch={"allow_curtailment": True, "initial_soc_free": False},
+        placement={"baseline": False},
+        scenarios={"type": "synthetic", "n_scenarios": 7},
+        jobs=3,
+        seed=11,
+    )
+    cfg = load_run_config(path)
+    assert cfg.dispatch.allow_curtailment is True and cfg.dispatch.initial_soc_free is False
+    assert cfg.baseline is False
+    assert (cfg.jobs, cfg.seed, cfg.synthetic_params()[0].n_scenarios) == (3, 11, 7)
+
+
+def test_non_numeric_jobs_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, jobs="two")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "jobs" in capsys.readouterr().err

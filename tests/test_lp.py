@@ -1,7 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gridstore.errors import ValidationError
+import gridstore.lp as lpmod
+from gridstore.config import load_run_config
+from gridstore.errors import SolverFailure, ValidationError
 from gridstore.lp import (
     LinearProgram,
     Status,
@@ -11,7 +17,10 @@ from gridstore.lp import (
     solve_highs_ipm,
     solve_with_backend,
 )
+from gridstore.runners import run_place
 from lp_oracle import certifies_ray, oracle_solve, random_bounded_lp
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def lp_min_x_in_box():
@@ -218,12 +227,12 @@ def test_highs_agrees_with_simplex():
             assert mine.objective == pytest.approx(ext.objective, abs=1e-6)
 
 
-def test_highs_ipm_reports_iterations():
+def dense_lp():
     # dense rows and coupled boxes leave HiGHS presolve nothing to remove
     rng = np.random.default_rng(8)
     n, m = 30, 20
     A = rng.uniform(0.5, 1.5, (m, n))
-    lp = LinearProgram(
+    return LinearProgram(
         n_vars=n,
         cost=rng.uniform(-1.0, 1.0, n),
         A=A,
@@ -232,10 +241,169 @@ def test_highs_ipm_reports_iterations():
         var_lower=np.zeros(n),
         var_upper=np.ones(n),
     )
+
+
+def test_highs_ipm_reports_iterations():
+    lp = dense_lp()
     sol = solve_highs_ipm(lp)
     assert sol.status is Status.OPTIMAL
     assert sol.iterations > 0
     assert sol.objective == pytest.approx(solve_highs(lp).objective, abs=1e-6)
+
+
+def test_highs_reports_iterations():
+    sol = solve_highs(dense_lp())
+    assert sol.status is Status.OPTIMAL
+    assert sol.iterations > 0
+
+
+# The public scipy wrappers the HiGHS backends stand in for.  They live here
+# only, as a drift oracle: a scipy release that changes the bundled
+# bindings, or what its wrappers pass to them, fails these tests.
+
+SCIPY_STATUS = {
+    0: Status.OPTIMAL,
+    1: Status.ITERATION_LIMIT,
+    2: Status.INFEASIBLE,
+    3: Status.UNBOUNDED,
+}
+
+
+def milp_reference(lp):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    constraints = [LinearConstraint(lp.matrix(), lp.row_lower, lp.row_upper)] if lp.n_rows else []
+    return milp(c=lp.cost, constraints=constraints, bounds=Bounds(lp.var_lower, lp.var_upper))
+
+
+def linprog_ipm_reference(lp):
+    from scipy.optimize import linprog
+
+    A = lp.matrix().tocsc()
+    eq = lp.row_lower == lp.row_upper
+    take_u = np.isfinite(lp.row_upper) & ~eq
+    take_l = np.isfinite(lp.row_lower) & ~eq
+    split = take_u.any() or take_l.any()
+    return linprog(
+        lp.cost,
+        A_ub=sp.vstack([A[take_u], -A[take_l]]) if split else None,
+        b_ub=np.concatenate([lp.row_upper[take_u], -lp.row_lower[take_l]]) if split else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=lp.row_lower[eq] if eq.any() else None,
+        bounds=np.column_stack([lp.var_lower, lp.var_upper]),
+        method="highs-ipm",
+    )
+
+
+def assert_matches_scipy_wrappers(lp):
+    for solve_fn, reference in ((solve_highs, milp_reference), (solve_highs_ipm, linprog_ipm_reference)):
+        mine, ref = solve_fn(lp), reference(lp)
+        assert mine.status is SCIPY_STATUS[ref.status]
+        if mine.status is Status.OPTIMAL:
+            assert np.array_equal(mine.x, np.clip(ref.x, lp.var_lower, lp.var_upper))
+
+
+def test_highs_backends_match_scipy_wrappers_on_random_lps():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        assert_matches_scipy_wrappers(random_bounded_lp(rng))
+
+
+def test_highs_backends_match_scipy_wrappers_on_a_placement(tmp_path, monkeypatch):
+    seen = []
+    solve_fn = lpmod.BACKENDS["highs"]
+
+    def record(lp):
+        seen.append(
+            LinearProgram(
+                lp.n_vars,
+                lp.cost.copy(),
+                lp.A.copy(),
+                lp.row_lower.copy(),
+                lp.row_upper.copy(),
+                lp.var_lower.copy(),
+                lp.var_upper.copy(),
+            )
+        )
+        return solve_fn(lp)
+
+    monkeypatch.setitem(lpmod.BACKENDS, "highs", record)
+    cfg = load_run_config(
+        CASES / "quickstart_place.json", {"jobs": 1, "solver": "highs", "out_dir": str(tmp_path)}
+    )
+    run_place(cfg)
+    assert len(seen) > 50
+    for lp in seen:
+        # every LP has ranged rows, which the IPM backend splits in two
+        ranged = np.isfinite(lp.row_lower) & np.isfinite(lp.row_upper) & (lp.row_lower < lp.row_upper)
+        assert ranged.any()
+        assert_matches_scipy_wrappers(lp)
+
+
+def test_highs_status_table_matches_scipy():
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    for model_status in lpmod._highs().HighsModelStatus.__members__.values():
+        code, _ = _highs_to_scipy_status_message(model_status, "")
+        if code in SCIPY_STATUS:
+            assert lpmod._highs_status(model_status, "HiGHS") is SCIPY_STATUS[code]
+        else:
+            with pytest.raises(SolverFailure):
+                lpmod._highs_status(model_status, "HiGHS")
+
+
+@pytest.mark.parametrize("limit", ["time_limit", "simplex_iteration_limit"])
+def test_highs_limit_is_a_status(monkeypatch, limit):
+    options = lpmod._highs().HighsOptions()
+    options.log_to_console = False
+    setattr(options, limit, 0)
+    monkeypatch.setattr(lpmod, "_highs_options", lambda ipm: options)
+    sol = solve_highs(dense_lp())
+    assert sol.status is Status.ITERATION_LIMIT and sol.x is None
+
+
+@pytest.mark.parametrize("backend", ["highs", "highs-ipm"])
+def test_highs_model_rejection_is_a_failure(backend):
+    # a duplicated matrix entry; scipy's wrappers reported this model infeasible
+    A = sp.csr_matrix((np.ones(2), np.zeros(2, dtype=np.int32), np.array([0, 2])), shape=(1, 1))
+    lp = LinearProgram(1, [1.0], A, [1.0], [2.0], [0.0], [5.0])
+    with pytest.raises(SolverFailure):
+        solve_with_backend(lp, backend)
+
+
+def test_missing_highs_bindings_name_the_scipy_needed(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        lpmod._highs.__wrapped__()
+
+
+def test_ipm_residual_rule_on_doctored_solution():
+    lp = LinearProgram(
+        n_vars=2,
+        cost=[1.0, 1.0],
+        A=[[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]],
+        row_lower=[1.0, -np.inf, -1.0],
+        row_upper=[1.0, 0.5, 3.0],
+        var_lower=[0.0, 0.0],
+        var_upper=[2.0, 2.0],
+    )
+    A, _, row_upper, n_upper = lpmod._ipm_rows(lp)
+    assert n_upper == 3 and A.shape == (4, 2)  # the ranged row is split; one equality
+
+    def check(x):
+        lpmod._check_ipm_solution(lp, x, A @ x, row_upper, n_upper)
+
+    tol = lpmod._IPM_RESIDUAL_TOL
+    check(np.array([0.5, 0.5]))
+    check(np.array([0.5 + 0.4 * tol, 0.5]))  # within the tolerance on every row
+    for doctored in (
+        [np.nan, 0.5],
+        [0.5 + 2 * tol, 0.5],  # the equality row
+        [0.75 + tol, 0.25 - tol],  # the <= row, equality kept
+        [-2 * tol, 1.0 + 2 * tol],  # a variable bound
+    ):
+        with pytest.raises(SolverFailure):
+            check(np.array(doctored))
 
 
 def test_backend_registry():
