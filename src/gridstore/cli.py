@@ -31,6 +31,7 @@ from .errors import (
     ZeroLoad,
 )
 from .fileio import load_network_document, write_network_document
+from .lp import BACKENDS
 from .matpower import add_renewable_sites, import_matpower_document
 from .reporting import emit_report
 from .runners import (
@@ -68,7 +69,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--jobs", type=int, default=None, help="parallel dispatch workers")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--solver", default=None, choices=["highs", "highs-ipm", "simplex"])
+    parser.add_argument("--solver", default=None, choices=sorted(BACKENDS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +227,7 @@ def _cmd_validate(args) -> int:
         )
     if args.config:
         cfg = load_run_config(args.config, _overrides(args))
-        load_network_document(cfg.network_path)
+        build_scenarios(cfg, *load_network_document(cfg.network_path))
         print(f"config ok: solver={cfg.solver}, jobs={cfg.jobs}, seed={cfg.seed}")
     return EXIT_OK
 

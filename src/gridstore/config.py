@@ -2,28 +2,38 @@
 
 Precedence, lowest to highest: config file, GRIDSTORE_* environment
 variables, command-line flags.
+
+Every field is read once, here, through :func:`fileio.json_value`: a value
+of the wrong JSON type is a ValidationError naming the file and the field,
+raised before anything is solved.  The ``dispatch`` and ``placement``
+sections and a synthetic ``scenarios`` section fill DispatchConfig,
+PerfWeights and SyntheticParams field by field, so a field the file leaves
+out keeps its dataclass default, which is stated nowhere else.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .dispatch import DispatchConfig
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
+from .fileio import json_value, read_json
+from .lp import BACKENDS
 from .placement import PerfWeights
 from .scenarios import SyntheticParams
 
 ENV_PREFIX = "GRIDSTORE_"
-SOLVERS = ("highs", "highs-ipm", "simplex")
 
 
 @dataclass(eq=False)
 class RunConfig:
     network_path: Path
-    scenario_spec: dict
+    synthetic: SyntheticParams | None  # None when the scenarios come from csv_paths
+    csv_paths: list[Path]
+    dt_hours: float
+    n_steps: int  # of a synthetic set; a CSV set's length comes from its files
     dispatch: DispatchConfig
     weights: PerfWeights
     epsilon: float | None  # absolute; None -> epsilon_rel * initial perf
@@ -36,23 +46,6 @@ class RunConfig:
     out_dir: Path
     seed: int
     raw: dict = field(default_factory=dict)  # resolved echo for reports
-
-    def synthetic_params(self) -> tuple[SyntheticParams, float, int]:
-        """(params, dt_hours, n_steps) for a synthetic scenario spec."""
-        spec = self.scenario_spec
-        params = SyntheticParams(
-            n_scenarios=int(spec.get("n_scenarios", 100)),
-            penetration_target=float(spec.get("penetration_target", 0.2)),
-            seed=self.seed,
-            mean_reversion=float(spec.get("mean_reversion", 0.2)),
-            volatility=float(spec.get("volatility", 0.05)),
-            ramp_event_prob=float(spec.get("ramp_event_prob", 0.3)),
-            ramp_depth=float(spec.get("ramp_depth", 0.5)),
-            load_noise=float(spec.get("load_noise", 0.01)),
-        )
-        dt = float(spec.get("dt_hours", 1.0 / 12.0))
-        n_steps = int(spec.get("n_steps", 24))
-        return params, dt, n_steps
 
 
 def _env_overrides() -> dict:
@@ -73,106 +66,83 @@ def _env_overrides() -> dict:
     return out
 
 
-def _flag(value, name: str, path) -> bool:
-    """``value`` if it is a JSON boolean; ``bool("false")`` would be True."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}: {name} must be true or false, got {value!r}")
-    return value
-
-
-def _integer(value, name: str, path) -> int:
-    """``value`` if it is a JSON integer, not a float that ``int`` would truncate."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: {name} must be an integer, got {value!r}")
-    return value
+def _from_json(cls, section: dict, name: str, path, **fixed):
+    """``cls(**fixed)`` with every other field that ``section`` states read from it."""
+    stated = {
+        f.name: json_value(section[f.name], f.type, f"{name}.{f.name}", path)
+        for f in fields(cls)
+        if f.name in section and f.name not in fixed
+    }
+    return cls(**fixed, **stated)
 
 
 def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), path) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path, exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ParseError("config must be a JSON object", path)
-
-    merged: dict = dict(doc)
-    for key, value in _env_overrides().items():
-        merged[key] = value
-    for key, value in (cli_overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged = read_json(path)
+    merged.update(_env_overrides())
+    merged.update({k: v for k, v in (cli_overrides or {}).items() if v is not None})
 
     if "network" not in merged:
         raise ValidationError(f"{path}: config is missing 'network'")
-    network_path = Path(merged["network"])
-    if not network_path.is_absolute():
-        network_path = path.parent / network_path
+    # an absolute path on the right of / replaces the config's directory
+    network_path = path.parent / json_value(merged["network"], "str", "network", path)
     if not network_path.exists():
         raise ValidationError(f"{path}: network file {network_path} does not exist")
 
-    spec = merged.get("scenarios", {"type": "synthetic"})
-    kind = spec.get("type", "synthetic")
+    spec = json_value(merged.get("scenarios", {"type": "synthetic"}), "dict", "scenarios", path)
+    kind = json_value(spec.get("type", "synthetic"), "str", "scenarios.type", path)
     if kind not in ("synthetic", "csv"):
         raise ValidationError(f"{path}: unknown scenario source type {kind!r}")
+    seed = json_value(merged.get("seed", spec.get("seed", 0)), "int", "seed", path)
+    synthetic, csv_paths = None, []
     if kind == "csv":
-        paths = [Path(p) if Path(p).is_absolute() else path.parent / p for p in spec.get("paths", [])]
-        if not paths:
+        paths = json_value(spec.get("paths", []), "list[str]", "scenarios.paths", path)
+        csv_paths = [path.parent / p for p in paths]
+        if not csv_paths:
             raise ValidationError(f"{path}: csv scenario source needs 'paths'")
-        for p in paths:
+        for p in csv_paths:
             if not p.exists():
                 raise ValidationError(f"{path}: scenario file {p} does not exist")
-        spec = dict(spec, paths=paths)
         if "dt_hours" not in spec:
             raise ValidationError(f"{path}: csv scenario source needs 'dt_hours'")
     else:
-        if _integer(spec.get("n_scenarios", 100), "n_scenarios", path) < 1:
-            raise ValidationError(f"{path}: n_scenarios must be >= 1")
+        synthetic = _from_json(SyntheticParams, spec, "scenarios", path, seed=seed)
+    dt_hours = json_value(spec.get("dt_hours", 1.0 / 12.0), "float", "scenarios.dt_hours", path)
+    n_steps = json_value(spec.get("n_steps", 24), "int", "scenarios.n_steps", path)
 
-    disp = merged.get("dispatch", {})
-    dispatch = DispatchConfig(
-        storage_energy_cost=float(disp.get("storage_energy_cost", 200.0)),
-        storage_power_cost=float(disp.get("storage_power_cost", 20.0)),
-        allow_curtailment=_flag(disp.get("allow_curtailment", False), "allow_curtailment", path),
-        initial_soc_free=_flag(disp.get("initial_soc_free", True), "initial_soc_free", path),
-    )
+    disp = json_value(merged.get("dispatch", {}), "dict", "dispatch", path)
+    # placement varies storage_nodes; every other field is the user's to set
+    dispatch = _from_json(DispatchConfig, disp, "dispatch", path, storage_nodes=frozenset())
 
-    place = merged.get("placement", {})
-    weights = PerfWeights(
-        energy_weight=float(place.get("energy_weight", 1.0)),
-        site_cost=float(place.get("site_cost", 0.02)),
-    )
+    place = json_value(merged.get("placement", {}), "dict", "placement", path)
+    weights = _from_json(PerfWeights, place, "placement", path)
     epsilon = place.get("epsilon")
-    epsilon = None if epsilon is None else float(epsilon)
-    epsilon_rel = float(place.get("epsilon_rel", 0.01))
-    epsilon_prime = float(place.get("epsilon_prime", 0.05))
-    if epsilon is not None and epsilon <= 0:
-        raise ValidationError(f"{path}: epsilon must be positive")
+    if epsilon is not None:
+        epsilon = json_value(epsilon, "float", "placement.epsilon", path)
+        if epsilon <= 0:
+            raise ValidationError(f"{path}: epsilon must be positive")
+    epsilon_rel = json_value(place.get("epsilon_rel", 0.01), "float", "placement.epsilon_rel", path)
+    epsilon_prime = json_value(
+        place.get("epsilon_prime", 0.05), "float", "placement.epsilon_prime", path
+    )
     if not 0 < epsilon_rel <= 1 or epsilon_prime <= 0:
         raise ValidationError(f"{path}: bad epsilon_rel or epsilon_prime")
 
-    levels = [float(v) for v in merged.get("sweep", {}).get("levels", [])]
-    if levels:
-        if sorted(levels) != levels:
-            raise ValidationError(f"{path}: sweep levels must be sorted ascending")
-        if any(not 0.0 < v < 1.0 for v in levels):
-            raise ValidationError(f"{path}: sweep levels must lie strictly inside (0, 1)")
+    sweep = json_value(merged.get("sweep", {}), "dict", "sweep", path)
+    levels = json_value(sweep.get("levels", []), "list[float]", "sweep.levels", path)
+    if sorted(levels) != levels:
+        raise ValidationError(f"{path}: sweep levels must be sorted ascending")
+    if any(not 0.0 < v < 1.0 for v in levels):
+        raise ValidationError(f"{path}: sweep levels must lie strictly inside (0, 1)")
 
-    solver = merged.get("solver", "highs")
-    if solver not in SOLVERS:
-        raise ValidationError(f"{path}: solver must be one of {SOLVERS}")
-    jobs = _integer(merged.get("jobs", 1), "jobs", path)
+    solver = json_value(merged.get("solver", "highs"), "str", "solver", path)
+    if solver not in BACKENDS:
+        raise ValidationError(f"{path}: solver must be one of {sorted(BACKENDS)}")
+    jobs = json_value(merged.get("jobs", 1), "int", "jobs", path)
     if jobs < 1:
         raise ValidationError(f"{path}: jobs must be >= 1")
-
-    out_dir = Path(merged.get("out_dir", "gridstore-out"))
-    if not out_dir.is_absolute():
-        out_dir = path.parent / out_dir
-    seed = _integer(merged.get("seed", spec.get("seed", 0)), "seed", path)
+    out_dir = json_value(merged.get("out_dir", "gridstore-out"), "str", "out_dir", path)
 
     echo = {
         k: v
@@ -180,25 +150,25 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
         if k in ("scenarios", "dispatch", "placement", "sweep", "solver", "jobs", "seed")
     }
     echo["network"] = str(network_path)
-    echo["scenarios"] = {
-        k: (str(v) if isinstance(v, Path) else [str(p) for p in v] if k == "paths" else v)
-        for k, v in spec.items()
-    }
+    echo["scenarios"] = dict(spec, paths=[str(p) for p in csv_paths]) if csv_paths else dict(spec)
     echo["seed"] = seed
 
     return RunConfig(
         network_path=network_path,
-        scenario_spec=spec,
+        synthetic=synthetic,
+        csv_paths=csv_paths,
+        dt_hours=dt_hours,
+        n_steps=n_steps,
         dispatch=dispatch,
         weights=weights,
         epsilon=epsilon,
         epsilon_rel=epsilon_rel,
         epsilon_prime=epsilon_prime,
-        baseline=_flag(place.get("baseline", True), "baseline", path),
+        baseline=json_value(place.get("baseline", True), "bool", "placement.baseline", path),
         sweep_levels=levels,
         solver=solver,
         jobs=jobs,
-        out_dir=out_dir,
+        out_dir=path.parent / out_dir,
         seed=seed,
         raw=echo,
     )

@@ -18,16 +18,21 @@ from .errors import ParseError, ValidationError
 from .network import Bus, Generator, Line, Network, RenewableSite, check_connected
 
 SCHEMA_VERSION = 1
+_REQUIRED = object()  # marks a key that has no default
+
+# the Python types each kind of field accepts, and its name in messages
+_JSON_KINDS = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "list": (list, "a list"),
+    "dict": (dict, "an object"),
+}
 
 
-def _require(obj: dict, key: str, path) -> object:
-    if key not in obj:
-        raise ParseError(f"missing required key {key!r}", path)
-    return obj[key]
-
-
-def load_network_document(path) -> tuple[Network, np.ndarray]:
-    """Parse a network file; returns (network, base load MW per bus)."""
+def read_json(path) -> dict:
+    """Parse the JSON file at ``path``, whose top level must be an object."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -36,47 +41,77 @@ def load_network_document(path) -> tuple[Network, np.ndarray]:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path, exc.lineno) from None
     if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", path)
+        raise ParseError("top level must be a JSON object", path)
+    return doc
+
+
+def json_value(value, kind: str, name: str, path):
+    """``value`` if it is a JSON value of ``kind``: a key of ``_JSON_KINDS``,
+    or ``list[k]`` for a list of values of kind ``k``.
+
+    A float takes any number and returns a float, an int no fraction, and
+    only a bool takes ``true``, which ``float()`` and ``int()`` read as 1.
+    """
+    if kind.startswith("list["):
+        items = json_value(value, "list", name, path)
+        return [json_value(v, kind[5:-1], f"{name}[{i}]", path) for i, v in enumerate(items)]
+    types, wanted = _JSON_KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise ValidationError(f"{path}: {name} must be {wanted}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def load_network_document(path) -> tuple[Network, np.ndarray]:
+    """Parse a network file; returns (network, base load MW per bus)."""
+    doc = read_json(path)
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version}", path)
 
-    try:
-        buses = tuple(
-            Bus(
-                id=int(_require(b, "id", path)),
-                name=str(b.get("name", b.get("id"))),
-                is_slack=bool(b.get("slack", False)),
-            )
-            for b in _require(doc, "buses", path)
+    def field(row: dict, where: str, key: str, kind: str, default=_REQUIRED):
+        """``row[key]`` of ``kind``; ``default`` when an optional key is absent or null."""
+        if default is not _REQUIRED and row.get(key) is None:
+            return default
+        if key not in row:
+            raise ParseError(f"missing required key {key!r}", path)
+        return json_value(row[key], kind, where + key, path)
+
+    def rows(key: str, default=_REQUIRED) -> list[tuple[dict, str]]:
+        """The objects listed under ``key``, each with the prefix naming it in messages."""
+        items = field(doc, "", key, "list[dict]", default)
+        return [(item, f"{key}[{i}].") for i, item in enumerate(items)]
+
+    buses = tuple(
+        Bus(
+            id=field(b, at, "id", "int"),
+            name=str(b.get("name", b["id"])),
+            is_slack=field(b, at, "slack", "bool", Bus.is_slack),
         )
-        lines = tuple(
-            Line(
-                from_bus=int(_require(l, "from", path)),
-                to_bus=int(_require(l, "to", path)),
-                reactance=float(_require(l, "reactance", path)),
-                flow_limit=None if l.get("flow_limit") is None else float(l["flow_limit"]),
-            )
-            for l in doc.get("lines", [])
+        for b, at in rows("buses")
+    )
+    lines = tuple(
+        Line(
+            from_bus=field(l, at, "from", "int"),
+            to_bus=field(l, at, "to", "int"),
+            reactance=field(l, at, "reactance", "float"),
+            flow_limit=field(l, at, "flow_limit", "float", Line.flow_limit),
         )
-        gens = tuple(
-            Generator(
-                bus=int(_require(g, "bus", path)),
-                cost=float(_require(g, "cost", path)),
-                p_max=float(_require(g, "p_max", path)),
-                ramp_limit=float("inf")
-                if g.get("ramp_limit") is None
-                else float(g["ramp_limit"]),
-            )
-            for g in doc.get("generators", [])
+        for l, at in rows("lines", [])
+    )
+    gens = tuple(
+        Generator(
+            bus=field(g, at, "bus", "int"),
+            cost=field(g, at, "cost", "float"),
+            p_max=field(g, at, "p_max", "float"),
+            ramp_limit=field(g, at, "ramp_limit", "float", Generator.ramp_limit),
         )
-        sites = tuple(
-            RenewableSite(bus=int(_require(r, "bus", path)), p_max=float(_require(r, "p_max", path)))
-            for r in doc.get("renewables", [])
-        )
-        base_mva = float(doc.get("base_mva", 100.0))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad field value: {exc}", path) from None
+        for g, at in rows("generators", [])
+    )
+    sites = tuple(
+        RenewableSite(bus=field(r, at, "bus", "int"), p_max=field(r, at, "p_max", "float"))
+        for r, at in rows("renewables", [])
+    )
+    base_mva = field(doc, "", "base_mva", "float", Network.base_mva)
 
     network = Network(
         buses=buses, lines=lines, generators=gens, renewables=sites, base_mva=base_mva
@@ -86,11 +121,11 @@ def load_network_document(path) -> tuple[Network, np.ndarray]:
         raise ValidationError(f"{path}: network line graph is not connected")
 
     base_load = np.zeros(network.n_buses)
-    for entry in doc.get("base_load_mw", []):
-        bus = int(_require(entry, "bus", path))
+    for entry, at in rows("base_load_mw", []):
+        bus = field(entry, at, "bus", "int")
         if not 0 <= bus < network.n_buses:
             raise ValidationError(f"{path}: base_load_mw references unknown bus {bus}")
-        mw = float(_require(entry, "mw", path))
+        mw = field(entry, at, "mw", "float")
         if mw < 0:
             raise ValidationError(f"{path}: base load at bus {bus} is negative")
         base_load[bus] = mw
@@ -104,7 +139,7 @@ def network_document(network: Network, base_load=None, name: str = "") -> dict:
         "units": {"power": "MW", "energy": "MWh", "reactance": "per-unit"},
         "base_mva": network.base_mva,
         "buses": [
-            {"id": b.id, "name": b.name, "slack": bool(b.is_slack)} for b in network.buses
+            {"id": b.id, "name": b.name, "slack": b.is_slack} for b in network.buses
         ],
         "lines": [
             {
@@ -129,7 +164,7 @@ def network_document(network: Network, base_load=None, name: str = "") -> dict:
     if base_load is not None:
         base_load = np.asarray(base_load, dtype=float)
         doc["base_load_mw"] = [
-            {"bus": i, "mw": float(mw)} for i, mw in enumerate(base_load) if mw != 0.0
+            {"bus": i, "mw": mw} for i, mw in enumerate(base_load) if mw != 0.0
         ]
     return doc
 

@@ -408,7 +408,6 @@ def candidate_thresholds(stats: CapacityStats) -> list[tuple[float, frozenset]]:
 def threshold_scan(
     stats: CapacityStats,
     nodes: frozenset,
-    weights: PerfWeights,
     epsilon: float,
     current_perf: float,
     evaluate,
@@ -544,7 +543,7 @@ def greedy_placement(
 
     while current:
         parent = ev
-        hit = threshold_scan(ev.stats, current, weights, eps, ev.perf, evaluate)
+        hit = threshold_scan(ev.stats, current, eps, ev.perf, evaluate)
         if hit is None:
             break
         gamma, ev = hit

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ParseError
+from .fileio import read_json
 
 SCHEMA_VERSION = 1
 
@@ -125,13 +126,7 @@ def emit_report(report: Report, out_dir) -> list[Path]:
 
 
 def load_report(path) -> Report:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(str(exc), path) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path, exc.lineno) from None
+    doc = read_json(path)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')}", path)
     return Report.from_dict(doc)

@@ -26,15 +26,13 @@ logger = logging.getLogger(__name__)
 
 
 def build_scenarios(cfg: RunConfig, network, base_load) -> ScenarioSet:
-    spec = cfg.scenario_spec
-    if spec.get("type", "synthetic") == "csv":
-        return load_scenarios_csv(spec["paths"], network, float(spec["dt_hours"]))
+    if cfg.synthetic is None:
+        return load_scenarios_csv(cfg.csv_paths, network, cfg.dt_hours)
     if base_load.sum() <= 0:
         raise ValidationError(
             "synthetic scenarios need base_load_mw entries in the network file"
         )
-    params, dt, n_steps = cfg.synthetic_params()
-    return generate_synthetic(network, base_load, params, dt, n_steps)
+    return generate_synthetic(network, base_load, cfg.synthetic, cfg.dt_hours, cfg.n_steps)
 
 
 def _iteration_rows(state: PlacementState) -> list[dict]:
@@ -131,19 +129,17 @@ def run_sweep(cfg: RunConfig, levels=None) -> Report:
         raise ValidationError("sweep needs at least one penetration level")
     if sorted(levels) != levels or any(not 0.0 < v < 1.0 for v in levels):
         raise ValidationError("sweep levels must be ascending and strictly inside (0, 1)")
-    if cfg.scenario_spec.get("type", "synthetic") != "synthetic":
+    if cfg.synthetic is None:
         raise ValidationError("sweep requires a synthetic scenario source")
 
     t_start = time.perf_counter()
     network, base_load = load_network_document(cfg.network_path)
-    params, dt, n_steps = cfg.synthetic_params()
     all_nodes = frozenset(range(network.n_buses))
 
     rows = []
     for level in levels:
-        sset = generate_synthetic(
-            network, base_load, replace(params, penetration_target=level), dt, n_steps
-        )
+        params = replace(cfg.synthetic, penetration_target=level)
+        sset = generate_synthetic(network, base_load, params, cfg.dt_hours, cfg.n_steps)
         ev = evaluate_subset(
             network, sset, all_nodes, cfg.weights, cfg.dispatch, cfg.solver, cfg.jobs
         )

@@ -95,6 +95,13 @@ def test_zero_scenarios_rejected_before_solving(tmp_path):
     assert main(["place", "--config", str(cfg)]) == 2
 
 
+def test_validate_rejects_an_out_of_range_scenario_field(tmp_path, capsys):
+    # place rejects this before solving, so validate must too
+    cfg = setup_run(tmp_path, scenarios={"type": "synthetic", "volatility": 2.0})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "volatility" in capsys.readouterr().err
+
+
 def test_infeasible_run_exits_3(tmp_path):
     # generation capacity below load: no dispatch can balance energy
     starved = dict(NETWORK, generators=[{"bus": 2, "cost": 5.0, "p_max": 4.0, "ramp_limit": None}])

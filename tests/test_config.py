@@ -8,30 +8,44 @@ from gridstore.cli import main
 from gridstore.config import load_run_config
 from gridstore.dispatch import DispatchConfig
 from gridstore.errors import ValidationError
+from gridstore.placement import PerfWeights
+from gridstore.scenarios import SyntheticParams
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def other_value(default):
-    """A value unlike ``default`` that a JSON config can state."""
+    """A value unlike ``default`` that a JSON config can state and every field accepts."""
     if isinstance(default, bool):
         return not default
-    if isinstance(default, float):
-        return 2.0 * default + 1.0
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float) and default:
+        return default / 2  # a halved default stays inside every [0, 1] range
     raise TypeError(f"a run config cannot state a value for a field defaulting to {default!r}")
 
 
-def test_run_config_sets_every_dispatch_field(tmp_path):
-    # storage_nodes is what placement varies; every other field is the user's to set
+# each dataclass a run config fills: its section, and the RunConfig field holding it
+SECTIONS = {
+    DispatchConfig: ("dispatch", "dispatch"),
+    PerfWeights: ("placement", "weights"),
+    SyntheticParams: ("scenarios", "synthetic"),
+}
+
+
+@pytest.mark.parametrize("cls", list(SECTIONS), ids=lambda cls: cls.__name__)
+def test_run_config_sets_every_dataclass_field(tmp_path, cls):
+    # placement varies storage_nodes and the run's seed draws the scenarios;
+    # every other field is the user's to set, and defaults to its dataclass default
+    section, attr = SECTIONS[cls]
     chosen = {
         f.name: other_value(f.default)
-        for f in dataclasses.fields(DispatchConfig)
-        if f.name != "storage_nodes"
+        for f in dataclasses.fields(cls)
+        if f.name not in ("storage_nodes", "seed")
     }
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"network": str(CASES / "quickstart3.json"), "dispatch": chosen}))
-    dispatch = load_run_config(path).dispatch
-    assert {name: getattr(dispatch, name) for name in chosen} == chosen
+    assert getattr(load_run_config(write_config(tmp_path)), attr) == cls()
+    parsed = getattr(load_run_config(write_config(tmp_path, **{section: chosen})), attr)
+    assert {name: getattr(parsed, name) for name in chosen} == chosen
 
 
 def write_config(tmp_path, **fields):
@@ -51,6 +65,14 @@ BAD_FIELDS = {
     "jobs": {"jobs": 2.7},
     "seed": {"seed": 1.5},
     "n_scenarios": {"scenarios": {"type": "synthetic", "n_scenarios": 30.5}},
+    "n_steps": {"scenarios": {"n_steps": 12.7}},
+    # float("x") used to raise a raw ValueError, and float(True) is 1.0
+    "volatility": {"scenarios": {"volatility": "x"}},
+    "dt_hours": {"scenarios": {"dt_hours": "x"}},
+    "epsilon_rel": {"placement": {"epsilon_rel": "x"}},
+    "site_cost": {"placement": {"site_cost": True}},
+    # a section that is no object used to end in a raw AttributeError
+    "scenarios": {"scenarios": [1]},
 }
 
 
@@ -73,7 +95,7 @@ def test_run_config_keeps_json_booleans_and_integers(tmp_path):
     cfg = load_run_config(path)
     assert cfg.dispatch.allow_curtailment is True and cfg.dispatch.initial_soc_free is False
     assert cfg.baseline is False
-    assert (cfg.jobs, cfg.seed, cfg.synthetic_params()[0].n_scenarios) == (3, 11, 7)
+    assert (cfg.jobs, cfg.seed, cfg.synthetic.n_scenarios) == (3, 11, 7)
 
 
 def test_non_numeric_jobs_exits_2(tmp_path, capsys):

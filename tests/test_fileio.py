@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,24 @@ def test_negative_reactance_rejected(tmp_path):
 def test_disconnected_rejected(tmp_path):
     doc = dict(TWO_BUS, lines=[])
     with pytest.raises(ValidationError):
+        load_network_document(write_doc(tmp_path, doc))
+
+
+BAD_VALUES = {
+    # bool("false") is True, so a string flag used to make a second slack bus
+    "buses[1].slack": {"buses": [{"id": 0, "slack": True}, {"id": 1, "slack": "false"}]},
+    # int() used to truncate a fractional id and read true as bus 1
+    "buses[1].id": {"buses": [{"id": 0, "slack": True}, {"id": 1.9}]},
+    "lines[0].from": {"lines": [{"from": True, "to": 0, "reactance": 0.2}]},
+    "lines[0].reactance": {"lines": [{"from": 0, "to": 1, "reactance": "0.2"}]},
+    "base_load_mw[0].bus": {"base_load_mw": [{"bus": 1.5, "mw": 4.0}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_field_of_the_wrong_type_rejected(tmp_path, name):
+    doc = dict(TWO_BUS, **BAD_VALUES[name])
+    with pytest.raises(ValidationError, match=re.escape(name)):
         load_network_document(write_doc(tmp_path, doc))
 
 

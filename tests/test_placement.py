@@ -170,7 +170,7 @@ def test_scan_no_improvement_on_equal_caps():
         called.append(nodes)
         raise AssertionError("must not re-dispatch the unchanged set")
 
-    hit = threshold_scan(stats, frozenset({0, 1}), PerfWeights(), 0.01, 1.0, evaluate)
+    hit = threshold_scan(stats, frozenset({0, 1}), 0.01, 1.0, evaluate)
     assert hit is None and called == []
 
 
@@ -188,7 +188,7 @@ def test_scan_picks_largest_improving_gamma():
             self.nodes = tuple(sorted(nodes))
 
     hit = threshold_scan(
-        stats, frozenset({0, 1, 2, 9}), PerfWeights(), 0.05, 1.0, lambda s: Ev(perfs[s], s)
+        stats, frozenset({0, 1, 2, 9}), 0.05, 1.0, lambda s: Ev(perfs[s], s)
     )
     assert hit is not None
     gamma, ev = hit
@@ -203,7 +203,7 @@ def test_scan_logs_candidates_that_do_not_improve(caplog):
         perf = 0.99
 
     with caplog.at_level(logging.INFO, logger="gridstore.placement"):
-        hit = threshold_scan(stats, frozenset({0, 1, 9}), PerfWeights(), 0.05, 1.0, lambda s: Ev)
+        hit = threshold_scan(stats, frozenset({0, 1, 9}), 0.05, 1.0, lambda s: Ev)
     assert hit is None
     assert [r.getMessage() for r in caplog.records] == [
         "threshold 1.0000 rejected: subset [0] perf 0.990000 does not beat 0.950000",
