@@ -8,7 +8,10 @@ of the wrong JSON type is a ValidationError naming the file and the field,
 raised before anything is solved.  The ``dispatch`` and ``placement``
 sections and a synthetic ``scenarios`` section fill DispatchConfig,
 PerfWeights and SyntheticParams field by field, so a field the file leaves
-out keeps its dataclass default, which is stated nowhere else.
+out keeps its dataclass default, which is stated nowhere else, and a value
+out of a dataclass's range is reported with the file and the field too.  A
+key the loader does not read, such as a misspelled field, is a
+ValidationError naming it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ from .placement import PerfWeights
 from .scenarios import SyntheticParams
 
 ENV_PREFIX = "GRIDSTORE_"
+
+TOP_LEVEL_KEYS = (
+    "network", "scenarios", "dispatch", "placement", "sweep", "solver", "jobs", "seed", "out_dir"
+)
+# read from a scenarios section of either type; a csv one adds "paths", a
+# synthetic one the SyntheticParams fields
+SCENARIO_KEYS = ("type", "seed", "dt_hours", "n_steps")
 
 
 @dataclass(eq=False)
@@ -66,20 +76,38 @@ def _env_overrides() -> dict:
     return out
 
 
-def _from_json(cls, section: dict, name: str, path, **fixed):
-    """``cls(**fixed)`` with every other field that ``section`` states read from it."""
+def _check_keys(section: dict, known, name: str, path) -> None:
+    """Reject every key of ``section`` (named ``name``, "" at the top level) not in ``known``."""
+    unknown = [f"{name}.{k}" if name else k for k in section if k not in known]
+    if unknown:
+        raise ValidationError(f"{path}: unknown config key {', '.join(unknown)}")
+
+
+def _from_json(cls, section: dict, name: str, path, extra=(), **fixed):
+    """``cls(**fixed)`` with every other field that ``section`` states read from it.
+
+    ``section`` may hold only those fields and the ``extra`` keys its caller
+    reads.  Each dataclass range message starts with the field's name, so a
+    rejected value is reported as ``<path>: <name>.<field> ...``.
+    """
+    settable = [f for f in fields(cls) if f.name not in fixed]
+    _check_keys(section, [f.name for f in settable] + list(extra), name, path)
     stated = {
         f.name: json_value(section[f.name], f.type, f"{name}.{f.name}", path)
-        for f in fields(cls)
-        if f.name in section and f.name not in fixed
+        for f in settable
+        if f.name in section
     }
-    return cls(**fixed, **stated)
+    try:
+        return cls(**fixed, **stated)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {name}.{exc}") from None
 
 
 def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
     merged = read_json(path)
+    _check_keys(merged, TOP_LEVEL_KEYS, "", path)
     merged.update(_env_overrides())
     merged.update({k: v for k, v in (cli_overrides or {}).items() if v is not None})
 
@@ -97,6 +125,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     seed = json_value(merged.get("seed", spec.get("seed", 0)), "int", "seed", path)
     synthetic, csv_paths = None, []
     if kind == "csv":
+        _check_keys(spec, SCENARIO_KEYS + ("paths",), "scenarios", path)
         paths = json_value(spec.get("paths", []), "list[str]", "scenarios.paths", path)
         csv_paths = [path.parent / p for p in paths]
         if not csv_paths:
@@ -107,29 +136,38 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
         if "dt_hours" not in spec:
             raise ValidationError(f"{path}: csv scenario source needs 'dt_hours'")
     else:
-        synthetic = _from_json(SyntheticParams, spec, "scenarios", path, seed=seed)
+        synthetic = _from_json(SyntheticParams, spec, "scenarios", path, SCENARIO_KEYS, seed=seed)
     dt_hours = json_value(spec.get("dt_hours", 1.0 / 12.0), "float", "scenarios.dt_hours", path)
     n_steps = json_value(spec.get("n_steps", 24), "int", "scenarios.n_steps", path)
 
     disp = json_value(merged.get("dispatch", {}), "dict", "dispatch", path)
     # placement varies storage_nodes; every other field is the user's to set
+    if "storage_nodes" in disp:
+        raise ValidationError(
+            f"{path}: dispatch.storage_nodes cannot be set; placement chooses the storage nodes"
+        )
     dispatch = _from_json(DispatchConfig, disp, "dispatch", path, storage_nodes=frozenset())
 
     place = json_value(merged.get("placement", {}), "dict", "placement", path)
-    weights = _from_json(PerfWeights, place, "placement", path)
+    weights = _from_json(
+        PerfWeights, place, "placement", path, ("epsilon", "epsilon_rel", "epsilon_prime", "baseline")
+    )
     epsilon = place.get("epsilon")
     if epsilon is not None:
         epsilon = json_value(epsilon, "float", "placement.epsilon", path)
         if epsilon <= 0:
-            raise ValidationError(f"{path}: epsilon must be positive")
+            raise ValidationError(f"{path}: placement.epsilon must be positive, got {epsilon}")
     epsilon_rel = json_value(place.get("epsilon_rel", 0.01), "float", "placement.epsilon_rel", path)
     epsilon_prime = json_value(
         place.get("epsilon_prime", 0.05), "float", "placement.epsilon_prime", path
     )
-    if not 0 < epsilon_rel <= 1 or epsilon_prime <= 0:
-        raise ValidationError(f"{path}: bad epsilon_rel or epsilon_prime")
+    if not 0 < epsilon_rel <= 1:
+        raise ValidationError(f"{path}: placement.epsilon_rel must be in (0, 1], got {epsilon_rel}")
+    if epsilon_prime <= 0:
+        raise ValidationError(f"{path}: placement.epsilon_prime must be positive, got {epsilon_prime}")
 
     sweep = json_value(merged.get("sweep", {}), "dict", "sweep", path)
+    _check_keys(sweep, ("levels",), "sweep", path)
     levels = json_value(sweep.get("levels", []), "list[float]", "sweep.levels", path)
     if sorted(levels) != levels:
         raise ValidationError(f"{path}: sweep levels must be sorted ascending")

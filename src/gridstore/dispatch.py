@@ -91,8 +91,9 @@ class DispatchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "storage_nodes", frozenset(self.storage_nodes))
-        if self.storage_energy_cost < 0 or self.storage_power_cost < 0:
-            raise ValidationError("storage capacity costs must be nonnegative")
+        for name in ("storage_energy_cost", "storage_power_cost"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 class DispatchIndex:

@@ -52,8 +52,9 @@ class PerfWeights:
     site_cost: float = 0.02  # in normalized-energy units per occupied node
 
     def __post_init__(self):
-        if self.energy_weight < 0 or self.site_cost < 0:
-            raise ValidationError("weights must be nonnegative")
+        for name in ("energy_weight", "site_cost"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(eq=False)

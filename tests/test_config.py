@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,54 @@ def test_non_numeric_jobs_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, jobs="two")
     assert main(["validate", "--config", str(path)]) == 2
     assert "jobs" in capsys.readouterr().err
+
+
+UNKNOWN_KEYS = {
+    "slover": {"slover": "highs"},
+    "scenarios.volatilty": {"scenarios": {"volatilty": 0.1}},
+    # a csv source reads no synthetic parameter
+    "scenarios.n_scenarios": {
+        "scenarios": {"type": "csv", "paths": ["s.csv"], "dt_hours": 1.0, "n_scenarios": 5}
+    },
+    "dispatch.alow_curtailment": {"dispatch": {"alow_curtailment": True}},
+    "placement.site_cots": {"placement": {"site_cots": 5.0}},
+    "sweep.level": {"sweep": {"level": [0.1]}},
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNKNOWN_KEYS))
+def test_run_config_rejects_an_unknown_key(tmp_path, key):
+    path = write_config(tmp_path, **UNKNOWN_KEYS[key])
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: unknown config key {key}$"):
+        load_run_config(path)
+
+
+def test_validate_names_a_misspelled_key(tmp_path, capsys):
+    path = write_config(tmp_path, dispatch={"alow_curtailment": True}, placment={"site_cost": 5.0})
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "placment" in err
+
+
+def test_run_config_rejects_storage_nodes(tmp_path):
+    path = write_config(tmp_path, dispatch={"storage_nodes": [0, 1]})
+    with pytest.raises(ValidationError, match="dispatch.storage_nodes .*placement chooses"):
+        load_run_config(path)
+
+
+OUT_OF_RANGE = {
+    "scenarios.volatility": {"scenarios": {"volatility": 2.0}},
+    "scenarios.n_scenarios": {"scenarios": {"n_scenarios": 0}},
+    "dispatch.storage_power_cost": {"dispatch": {"storage_power_cost": -1.0}},
+    "placement.energy_weight": {"placement": {"energy_weight": -0.5}},
+    "placement.epsilon": {"placement": {"epsilon": 0.0}},
+    "placement.epsilon_rel": {"placement": {"epsilon_rel": 1.5}},
+    "placement.epsilon_prime": {"placement": {"epsilon_prime": -1.0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_run_config_names_the_file_and_field_out_of_range(tmp_path, name):
+    path = write_config(tmp_path, **OUT_OF_RANGE[name])
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {name} must be"):
+        load_run_config(path)

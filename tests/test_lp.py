@@ -1,8 +1,11 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 import gridstore.lp as lpmod
@@ -371,10 +374,54 @@ def test_highs_model_rejection_is_a_failure(backend):
         solve_with_backend(lp, backend)
 
 
-def test_missing_highs_bindings_name_the_scipy_needed(monkeypatch):
+def test_missing_highs_bindings_name_the_scipy_needed(monkeypatch, tmp_path):
+    import scipy.optimize  # noqa: F401  (the first case imports through the loaded package)
+
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
         lpmod._highs.__wrapped__()
+    # without scipy.optimize loaded, _highs looks for the extension in scipy's folder
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy")
+    monkeypatch.delitem(sys.modules, "scipy.optimize")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        lpmod._highs.__wrapped__()
+
+
+def linprog_highs(lp):
+    from scipy.optimize import linprog
+
+    bounds = np.column_stack([lp.var_lower, lp.var_upper])
+    return linprog(lp.cost, A_ub=lp.matrix(), b_ub=lp.row_upper, bounds=bounds, method="highs")
+
+
+# In a test session scipy.optimize is loaded by the drift tests above, so
+# only a fresh interpreter is sure to load the bindings from their file.
+DIRECT_LOAD = """
+import sys
+import gridstore.lp as lpmod
+from test_lp import dense_lp, linprog_highs
+
+xs = [lpmod.solve_with_backend(dense_lp(), b).x for b in ("highs", "highs-ipm")]
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize._highspy._core as core
+assert core is lpmod._highs()
+xs.append(linprog_highs(dense_lp()).x)
+print(" ".join(x.tobytes().hex() for x in xs))
+"""
+
+
+def test_highs_bindings_load_without_scipy_optimize():
+    path = [str(Path(lpmod.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run(
+        [sys.executable, "-c", DIRECT_LOAD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    lp = dense_lp()
+    in_process = [solve_highs(lp).x, solve_highs_ipm(lp).x, linprog_highs(lp).x]
+    assert run.stdout.split() == [x.tobytes().hex() for x in in_process]
 
 
 def test_ipm_residual_rule_on_doctored_solution():
