@@ -25,6 +25,7 @@ solves and decodes either one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,19 @@ class Scenario:
     def n_steps(self) -> int:
         return self.renewable.shape[0]
 
+    @functools.cached_property
+    def fluctuation_spans(self) -> tuple[float, float]:
+        """Summed over sites, the range of renewable output (MW) and of
+        :func:`renewable_fluctuation_energy` (MWh).
+
+        Placement divides its metrics by their max over the kept scenarios
+        of every node set it evaluates, so each scenario computes them once.
+        """
+        s_r = renewable_fluctuation_energy(self)
+        power = self.renewable.max(axis=0) - self.renewable.min(axis=0)
+        energy = s_r.max(axis=0) - s_r.min(axis=0)
+        return float(power.sum()), float(energy.sum())
+
 
 @dataclass(frozen=True)
 class DispatchConfig:
@@ -107,6 +121,9 @@ class DispatchIndex:
     ``storage``, the sorted node list.  ``balance`` holds the (T, n_buses)
     row numbers of the nodal balance, set by :func:`build_dispatch_lp`;
     ``T`` and ``dt_hours`` are the step grid the LP was built for.
+    ``line_from``, ``line_to`` and ``reactance`` (per line) and ``gen_rate``
+    (per generator, $/MWh) are the network data :func:`decode_solution`
+    reads.
     """
 
     balance: np.ndarray
@@ -122,6 +139,11 @@ class DispatchIndex:
         self.n_sites = len(network.renewables)
         self.curtail_on = config.allow_curtailment
         self.non_slack = np.delete(np.arange(self.n_buses), self.slack)
+        lines = network.lines
+        self.line_from = np.array([ln.from_bus for ln in lines], dtype=int)
+        self.line_to = np.array([ln.to_bus for ln in lines], dtype=int)
+        self.reactance = np.array([ln.reactance for ln in lines])
+        self.gen_rate = np.array([gen.cost for gen in network.generators], dtype=float)
 
         self.n_vars = 0
 
@@ -193,6 +215,8 @@ class DispatchSolution:
     storage_cost: float
     curtailed: np.ndarray | None = None  # (T, n_sites) MW when enabled
     objective: float = 0.0
+    iterations: int = 0  # the LP's, as its backend reported them
+    max_violation: float = 0.0  # the LP's worst residual
 
 
 def _check_shapes(network: Network, scenario: Scenario, config: DispatchConfig) -> None:
@@ -368,18 +392,14 @@ def decode_solution(
     soc = np.vstack([s0, s0 - dt * np.cumsum(ps, axis=0)]) if idx.n_store else np.zeros((T + 1, 0))
     theta = np.zeros((T, idx.n_buses))
     theta[:, idx.non_slack] = x[idx.theta]
-    lines = network.lines
-    from_bus = np.array([ln.from_bus for ln in lines], dtype=int)
-    to_bus = np.array([ln.to_bus for ln in lines], dtype=int)
-    flows = (theta[:, from_bus] - theta[:, to_bus]) / np.array([ln.reactance for ln in lines])
+    flows = (theta[:, idx.line_from] - theta[:, idx.line_to]) / idx.reactance
     s_bar = x[idx.s_bar]
     ps_bar = x[idx.ps_bar]
     curtailed = x[idx.curtail] if idx.curtail_on else None
     # each generator's energy summed over its own schedule, then the costs
     # totalled left to right (the float order the reports have always used)
     energy = np.ascontiguousarray(pg.T).sum(axis=1)
-    rate = np.array([gen.cost for gen in network.generators], dtype=float)
-    gen_cost = float(sum((rate * dt * energy).tolist()))
+    gen_cost = float(sum((idx.gen_rate * dt * energy).tolist()))
     store_cost = float(
         config.storage_energy_cost * s_bar.sum() + config.storage_power_cost * ps_bar.sum()
     )
@@ -397,6 +417,8 @@ def decode_solution(
         storage_cost=store_cost,
         curtailed=curtailed,
         objective=sol.objective,
+        iterations=sol.iterations,
+        max_violation=sol.max_violation,
     )
 
 

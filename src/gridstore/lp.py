@@ -27,6 +27,20 @@ way, so no LP's answer moves; the benchmark's set-up time, from importing
 gridstore through its first solve, fell from 0.78 s to 0.44 s
 (``rts_greedy``, medians of 10 runs on a 2-core Xeon).
 
+A scenario sweep solves programs that share one ``A``, ``cost`` and
+``var_lower`` and differ only in their row bounds and variable upper bounds
+(:func:`gridstore.dispatch.retarget_dispatch_lp`).  So the HiGHS adapter
+converts a program's matrix, costs and lower bounds into a HiGHS model once
+and keeps the last model each method built; a program holding the same
+``A`` object, with every shared array equal to the copy taken at build time
+(an edit in place is seen), reuses it, and each solve sets only the row
+bounds and variable upper bounds.  Dual simplex also keeps one HiGHS object
+per model, which ``passModel`` resets to a cold start.  Interior point takes
+a fresh HiGHS object per LP: a reused one keeps about 10 MB of IPM
+workspace that neither ``clearSolver`` nor ``clearModel`` releases (peak
+RSS over the 15 ``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).
+Every answer is bit-identical to a solve on a fresh model and object.
+
 Every solver answers a program without variables the same way, returns
 ``x`` clipped into the variable bounds with its worst residual, and reports
 an infeasible, unbounded or iteration-limited instance as a status, not as
@@ -70,8 +84,9 @@ class LinearProgram:
     """LP over a CSR constraint matrix with two-sided rows and variable bounds.
 
     ``A`` may be anything ``scipy.sparse.csr_matrix`` accepts (a sparse
-    matrix or a dense array); it is stored as CSR.  Without ``A`` the program
-    has ``len(row_lower)`` empty rows.
+    matrix or a dense array); it is stored as CSR, and a float CSR matrix is
+    kept as it is, so programs built on one matrix share it.  Without ``A``
+    the program has ``len(row_lower)`` empty rows.
     """
 
     n_vars: int
@@ -88,7 +103,7 @@ class LinearProgram:
         self.row_upper = np.asarray(self.row_upper, dtype=float)
         if self.A is None:
             self.A = sp.csr_matrix((len(self.row_lower), self.n_vars))
-        else:
+        elif not (isinstance(self.A, sp.csr_matrix) and self.A.dtype == float):
             self.A = sp.csr_matrix(self.A, dtype=float)
         if self.var_lower is None:
             self.var_lower = np.full(self.n_vars, -INF)
@@ -508,72 +523,131 @@ def _highs_status(model_status, name: str) -> Status:
         raise SolverFailure(f"{name} stopped with model status {model_status.name}") from None
 
 
-def _run_highs(lp: LinearProgram, A, row_lower, row_upper, n_upper=None) -> LpSolution:
-    """Solve ``min c'x`` over ``row_lower <= Ax <= row_upper`` (CSR ``A``) and lp's bounds.
+class _IpmRows:
+    """linprog's one-sided rows ``[A[<=]; -A[>=]; A[==]]`` for a program's row bounds.
 
-    Without ``n_upper`` this is HiGHS dual simplex, as ``milp`` runs it.  With
-    the rows of :func:`_ipm_rows` it is HiGHS interior point, as ``linprog``
-    runs it, followed by linprog's post-solve check.
+    ``blocks`` holds the row numbers of the three blocks; a ranged row is in
+    the first two.  The first ``n_upper`` rows are the ``<=`` rows, with
+    lower bound -inf.
     """
-    h = _highs()
-    ipm = n_upper is not None
-    name = "HiGHS IPM" if ipm else "HiGHS"
-    model = h.HighsLp()
-    model.num_col_ = lp.n_vars
-    model.num_row_ = len(row_lower)
-    model.col_cost_ = lp.cost
-    model.col_lower_ = lp.var_lower
-    model.col_upper_ = lp.var_upper
-    model.row_lower_ = row_lower
-    model.row_upper_ = row_upper
-    matrix = model.a_matrix_
-    matrix.format_ = h.MatrixFormat.kRowwise
-    matrix.num_col_ = lp.n_vars
-    matrix.num_row_ = len(row_lower)
-    matrix.start_ = A.indptr
-    matrix.index_ = A.indices
-    matrix.value_ = A.data
 
+    def __init__(self, lp: LinearProgram):
+        eq = lp.row_lower == lp.row_upper
+        self.blocks = (
+            np.flatnonzero(np.isfinite(lp.row_upper) & ~eq),
+            np.flatnonzero(np.isfinite(lp.row_lower) & ~eq),
+            np.flatnonzero(eq),
+        )
+        self.n_upper = len(self.blocks[0]) + len(self.blocks[1])
+
+    def matrix(self, lp: LinearProgram) -> sp.csr_matrix:
+        A = lp.matrix()[np.concatenate(self.blocks)]
+        A.data[A.indptr[len(self.blocks[0])] : A.indptr[self.n_upper]] *= -1.0
+        return A
+
+    def bounds(self, lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+        upper, lower, equal = self.blocks
+        row_upper = np.concatenate([lp.row_upper[upper], -lp.row_lower[lower], lp.row_lower[equal]])
+        row_lower = np.concatenate([np.full(self.n_upper, -INF), lp.row_lower[equal]])
+        return row_lower, row_upper
+
+
+def _highs_solver(ipm: bool, name: str):
+    """A new HiGHS object with the method's options."""
+    h = _highs()
     highs = h._Highs()
     if highs.passOptions(_highs_options(ipm)) == h.HighsStatus.kError:
         raise SolverFailure(f"{name} rejected its options")
+    return highs
+
+
+class _HighsModel:
+    """A program's matrix, costs and variable lower bounds, converted for HiGHS once.
+
+    Each solve sets only the row bounds and the variable upper bounds.  With
+    ``rows`` (interior point) the matrix is ``rows``' split of ``A``.  Dual
+    simplex keeps one solver object for the model; interior point takes a
+    fresh one per solve (see the module docstring).
+    """
+
+    def __init__(self, lp: LinearProgram, rows: _IpmRows | None):
+        h = _highs()
+        self.A = lp.A
+        self.options = _highs_options(rows is not None)
+        self.contents = tuple(a.copy() for a in self._contents(lp, rows))
+        A = lp.A if rows is None else rows.matrix(lp)
+        model = self.model = h.HighsLp()
+        model.num_col_ = lp.n_vars
+        model.num_row_ = A.shape[0]
+        model.col_cost_ = lp.cost
+        model.col_lower_ = lp.var_lower
+        matrix = model.a_matrix_
+        matrix.format_ = h.MatrixFormat.kRowwise
+        matrix.num_col_ = lp.n_vars
+        matrix.num_row_ = A.shape[0]
+        matrix.start_ = A.indptr
+        matrix.index_ = A.indices
+        matrix.value_ = A.data
+        self.highs = _highs_solver(False, "HiGHS") if rows is None else None
+
+    @staticmethod
+    def _contents(lp: LinearProgram, rows: _IpmRows | None) -> tuple[np.ndarray, ...]:
+        A = lp.A
+        blocks = () if rows is None else rows.blocks
+        return (A.indptr, A.indices, A.data, lp.cost, lp.var_lower, *blocks)
+
+    def fits(self, lp: LinearProgram, rows: _IpmRows | None) -> bool:
+        """Whether ``lp`` is this model's program, with contents unchanged since it was built."""
+        return (
+            lp.A is self.A
+            and self.options is _highs_options(rows is not None)
+            and all(map(np.array_equal, self._contents(lp, rows), self.contents))
+        )
+
+
+# the last model each HiGHS method built, by ipm flag; a sweep's programs share it
+_MODELS: dict[bool, _HighsModel] = {}
+
+
+def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
+    """Solve ``lp`` with HiGHS dual simplex, as ``milp`` runs it, or interior point.
+
+    Interior point runs on :class:`_IpmRows`' split, as ``linprog`` runs it,
+    followed by linprog's post-solve check.
+    """
+    h = _highs()
+    name = "HiGHS IPM" if ipm else "HiGHS"
+    rows = _IpmRows(lp) if ipm else None
+    prepared = _MODELS.get(ipm)
+    if prepared is None or not prepared.fits(lp, rows):
+        prepared = _MODELS[ipm] = _HighsModel(lp, rows)
+    row_lower, row_upper = rows.bounds(lp) if ipm else (lp.row_lower, lp.row_upper)
+    model = prepared.model
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    model.col_upper_ = lp.var_upper
+
+    highs = prepared.highs if prepared.highs is not None else _highs_solver(ipm, name)
     if highs.passModel(model) == h.HighsStatus.kError:
         raise SolverFailure(f"{name} rejected the model")
     if highs.run() == h.HighsStatus.kError:
         raise SolverFailure(f"{name} failed with model status {highs.getModelStatus().name}")
     status = _highs_status(highs.getModelStatus(), name)
-    info = highs.getInfo()
-    iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    _, iterations = highs.getInfoValue("simplex_iteration_count")
+    if not iterations:
+        _, iterations = highs.getInfoValue("ipm_iteration_count")
     if status is not Status.OPTIMAL:
         return LpSolution(status, iterations=iterations)
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     if ipm:
-        _check_ipm_solution(lp, x, np.array(solution.row_value), row_upper, n_upper)
+        _check_ipm_solution(lp, x, np.array(solution.row_value), row_upper, rows.n_upper)
     np.clip(x, lp.var_lower, lp.var_upper, out=x)
     return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), iterations, max_violation(lp, x))
 
 
-def _ipm_rows(lp: LinearProgram):
-    """linprog's one-sided rows ``[A[<=]; -A[>=]; A[==]]``, ranged rows in both blocks.
-
-    Returns ``(A, row_lower, row_upper, n_upper)``; the first ``n_upper``
-    rows are the ``<=`` rows, with ``row_lower = -inf``.
-    """
-    eq = lp.row_lower == lp.row_upper
-    upper = np.flatnonzero(np.isfinite(lp.row_upper) & ~eq)
-    lower = np.flatnonzero(np.isfinite(lp.row_lower) & ~eq)
-    equal = np.flatnonzero(eq)
-    A = lp.matrix()[np.concatenate([upper, lower, equal])]
-    A.data[A.indptr[len(upper)] : A.indptr[len(upper) + len(lower)]] *= -1.0
-    n_upper = len(upper) + len(lower)
-    row_upper = np.concatenate([lp.row_upper[upper], -lp.row_lower[lower], lp.row_lower[equal]])
-    row_lower = np.concatenate([np.full(n_upper, -INF), lp.row_lower[equal]])
-    return A, row_lower, row_upper, n_upper
-
-
 def _check_ipm_solution(lp: LinearProgram, x, row_value, row_upper, n_upper: int) -> None:
-    """linprog's check of an optimal answer on :func:`_ipm_rows`' rows (its status 4).
+    """linprog's check of an optimal answer on :class:`_IpmRows`' rows (its status 4).
 
     NaN, or a bound, ``<=`` slack or equality residual beyond
     ``_IPM_RESIDUAL_TOL``, raises SolverFailure.
@@ -599,7 +673,7 @@ def solve_highs(lp: LinearProgram) -> LpSolution:
     lp.validate()
     if lp.n_vars == 0:
         return _empty_program(lp)
-    return _run_highs(lp, lp.matrix(), lp.row_lower, lp.row_upper)
+    return _run_highs(lp, ipm=False)
 
 
 def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
@@ -613,7 +687,7 @@ def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
     lp.validate()
     if lp.n_vars == 0:
         return _empty_program(lp)
-    return _run_highs(lp, *_ipm_rows(lp))
+    return _run_highs(lp, ipm=True)
 
 
 BACKENDS = {"simplex": solve, "highs": solve_highs, "highs-ipm": solve_highs_ipm}

@@ -26,7 +26,6 @@ from .dispatch import (
     DispatchSolution,
     Scenario,
     build_dispatch_lp,
-    renewable_fluctuation_energy,
     retarget_dispatch_lp,
     solve_dispatch_lp,
 )
@@ -81,23 +80,6 @@ def perf(nodes, energy_metric: float, weights: PerfWeights) -> float:
     return weights.energy_weight * energy_metric + weights.site_cost * len(nodes)
 
 
-def _power_denominator(scenarios: list[Scenario]) -> float:
-    worst = 0.0
-    for scen in scenarios:
-        span = scen.renewable.max(axis=0) - scen.renewable.min(axis=0)
-        worst = max(worst, float(span.sum()))
-    return worst
-
-
-def _energy_denominator(scenarios: list[Scenario]) -> float:
-    worst = 0.0
-    for scen in scenarios:
-        s_r = renewable_fluctuation_energy(scen)
-        span = s_r.max(axis=0) - s_r.min(axis=0)
-        worst = max(worst, float(span.sum()))
-    return worst
-
-
 def normalized_power_capacity(
     solutions: list[DispatchSolution], scenarios: list[Scenario]
 ) -> float:
@@ -105,7 +87,7 @@ def normalized_power_capacity(
 
     Numerator and denominator are each aggregated as the max over scenarios.
     """
-    den = _power_denominator(scenarios)
+    den = max([0.0] + [scen.fluctuation_spans[0] for scen in scenarios])
     if den <= _ZERO_CAP_TOL:
         raise ZeroFluctuationDenominator("renewables never fluctuate in power")
     num = 0.0
@@ -119,7 +101,7 @@ def normalized_energy_capacity(
     solutions: list[DispatchSolution], scenarios: list[Scenario]
 ) -> float:
     """Worst-case total state-of-charge swing over the worst-case fluctuation energy."""
-    den = _energy_denominator(scenarios)
+    den = max([0.0] + [scen.fluctuation_spans[1] for scen in scenarios])
     if den <= _ZERO_CAP_TOL:
         raise ZeroFluctuationDenominator("renewables never fluctuate in energy")
     num = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,7 @@ SCHEMA_VERSION = 1
 ITERATIONS_COLUMNS = ["round", "set_size", "perf", "energy_metric", "power_metric", "gamma", "dropped"]
 PLACEMENT_COLUMNS = ["bus", "s_bar_mwh", "ps_bar_mw"]
 SWEEP_COLUMNS = ["penetration_target", "penetration_mean", "energy_metric", "power_metric", "perf"]
+_HISTOGRAM = re.compile(r"histogram_(0|[1-9][0-9]*)\.csv")  # one round's table
 
 
 @dataclass(eq=True)
@@ -118,6 +120,11 @@ def emit_report(report: Report, out_dir) -> list[Path]:
         path = out / f"histogram_{round_key}.csv"
         _write_table(path, f"histogram_{round_key}", PLACEMENT_COLUMNS, rows)
         written.append(path)
+    # an earlier run in out_dir may have had more rounds
+    for path in out.glob("histogram_*.csv"):
+        stale = _HISTOGRAM.fullmatch(path.name)
+        if stale and stale[1] not in report.histograms:
+            path.unlink()
 
     path = out / "sweep.csv"
     _write_table(path, "sweep", SWEEP_COLUMNS, report.sweep)

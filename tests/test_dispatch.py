@@ -355,6 +355,24 @@ def test_backends_agree_on_dispatch_objective():
         assert objectives[2] == pytest.approx(objectives[0], rel=1e-7, abs=1e-6)
 
 
+@pytest.mark.parametrize("backend", ["highs", "highs-ipm"])
+def test_dispatch_carries_the_lp_iterations_and_residual(backend, monkeypatch):
+    rng = np.random.default_rng(3)
+    net = random_network(rng, n_buses=4, flow_limits=True)
+    seen = []
+    solve = lpmod.solve_with_backend
+
+    def record(prog, name):
+        seen.append(solve(prog, name))
+        return seen[-1]
+
+    monkeypatch.setattr(lpmod, "solve_with_backend", record)
+    sol = lookahead_dispatch(net, random_scenario(rng, net), DispatchConfig({1, 2}), backend)
+    (lp_sol,) = seen
+    assert sol.iterations == lp_sol.iterations > 0
+    assert sol.max_violation == lp_sol.max_violation
+
+
 # -- curtailment and interchange ------------------------------------------------
 
 

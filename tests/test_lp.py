@@ -20,8 +20,10 @@ from gridstore.lp import (
     solve_highs_ipm,
     solve_with_backend,
 )
+from gridstore.dispatch import DispatchConfig, Scenario, build_dispatch_lp, retarget_dispatch_lp
 from gridstore.runners import run_place
 from lp_oracle import certifies_ray, oracle_solve, random_bounded_lp
+from netgen import random_network, random_scenario
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -312,35 +314,109 @@ def test_highs_backends_match_scipy_wrappers_on_random_lps():
         assert_matches_scipy_wrappers(random_bounded_lp(rng))
 
 
-def test_highs_backends_match_scipy_wrappers_on_a_placement(tmp_path, monkeypatch):
-    seen = []
-    solve_fn = lpmod.BACKENDS["highs"]
-
-    def record(lp):
-        seen.append(
-            LinearProgram(
-                lp.n_vars,
-                lp.cost.copy(),
-                lp.A.copy(),
-                lp.row_lower.copy(),
-                lp.row_upper.copy(),
-                lp.var_lower.copy(),
-                lp.var_upper.copy(),
-            )
-        )
-        return solve_fn(lp)
-
-    monkeypatch.setitem(lpmod.BACKENDS, "highs", record)
-    cfg = load_run_config(
-        CASES / "quickstart_place.json", {"jobs": 1, "solver": "highs", "out_dir": str(tmp_path)}
+def copy_program(lp):
+    """The same program in new arrays: the HiGHS adapter builds it a fresh model."""
+    return LinearProgram(
+        lp.n_vars,
+        lp.cost.copy(),
+        lp.A.copy(),
+        lp.row_lower.copy(),
+        lp.row_upper.copy(),
+        lp.var_lower.copy(),
+        lp.var_upper.copy(),
     )
-    run_place(cfg)
-    assert len(seen) > 50
-    for lp in seen:
-        # every LP has ranged rows, which the IPM backend splits in two
-        ranged = np.isfinite(lp.row_lower) & np.isfinite(lp.row_upper) & (lp.row_lower < lp.row_upper)
-        assert ranged.any()
-        assert_matches_scipy_wrappers(lp)
+
+
+def solution_bits(sol):
+    x = None if sol.x is None else sol.x.tobytes()
+    return sol.status, x, sol.iterations, sol.objective, sol.max_violation
+
+
+def count_model_builds(monkeypatch) -> list:
+    """Make the HiGHS adapter note each model it builds in the returned list."""
+    builds = []
+
+    class Counted(lpmod._HighsModel):
+        def __init__(self, lp, rows):
+            builds.append(lp)
+            super().__init__(lp, rows)
+
+    monkeypatch.setattr(lpmod, "_HighsModel", Counted)
+    return builds
+
+
+def test_highs_backends_match_scipy_wrappers_on_a_placement(tmp_path, monkeypatch):
+    builds = count_model_builds(monkeypatch)
+    for backend in ("highs", "highs-ipm"):
+        seen = []
+        solve_fn = lpmod.BACKENDS[backend]
+
+        def record(lp, solve_fn=solve_fn, seen=seen):
+            copy = copy_program(lp)
+            sol = solve_fn(lp)
+            seen.append((copy, sol))
+            return sol
+
+        monkeypatch.setitem(lpmod.BACKENDS, backend, record)
+        builds.clear()
+        cfg = load_run_config(
+            CASES / "quickstart_place.json",
+            {"jobs": 1, "solver": backend, "out_dir": str(tmp_path / backend)},
+        )
+        run_place(cfg)
+        assert len(seen) > 50
+        assert len(builds) < len(seen) / 5  # a sweep's programs share one model
+        for lp, sol in seen:
+            # every LP has ranged rows, which the IPM backend splits in two
+            ranged = np.isfinite(lp.row_lower) & np.isfinite(lp.row_upper) & (lp.row_lower < lp.row_upper)
+            assert ranged.any()
+            assert solution_bits(solve_fn(lp)) == solution_bits(sol)
+            assert_matches_scipy_wrappers(lp)
+
+
+def surplus_sweep():
+    """A curtailment sweep whose caps bind, with an infeasible scenario in the middle."""
+    rng = np.random.default_rng(17)
+    net = random_network(rng, n_buses=5, flow_limits=True, n_sites=2)
+    scens = []
+    for i in range(5):
+        scen = random_scenario(rng, net, label=f"s{i}")
+        # renewables beyond the load over the horizon: some must be curtailed
+        scens.append(Scenario(scen.dt_hours, 3.0 * scen.renewable, scen.load, label=scen.label))
+    # load beyond every generator and renewable
+    short = Scenario(scens[0].dt_hours, scens[0].renewable, 100.0 * scens[0].load, label="short")
+    scens.insert(2, short)
+    cfg = DispatchConfig(storage_nodes=frozenset({1, 3}), allow_curtailment=True)
+    template, idx = build_dispatch_lp(net, scens[0], cfg)
+    return [retarget_dispatch_lp(net, scen, cfg, template, idx) for scen in scens]
+
+
+@pytest.mark.parametrize("backend", ["highs", "highs-ipm"])
+def test_highs_model_reuse_equals_fresh_solves(backend, monkeypatch):
+    progs = surplus_sweep()
+    assert len({p.var_upper.tobytes() for p in progs}) == len(progs) - 1  # short shares s0's caps
+    builds = count_model_builds(monkeypatch)
+    swept = [solve_with_backend(prog, backend) for prog in progs]
+    assert len(builds) == 1
+    assert [sol.status for sol in swept] == [Status.OPTIMAL] * 2 + [Status.INFEASIBLE] + [Status.OPTIMAL] * 3
+    assert all(sol.x[sol.x > 0].size for sol in swept if sol.x is not None)
+    fresh = [solve_with_backend(copy_program(prog), backend) for prog in progs]
+    assert len(builds) == 1 + len(progs)
+    assert [solution_bits(s) for s in swept] == [solution_bits(s) for s in fresh]
+
+
+@pytest.mark.parametrize("backend", ["highs", "highs-ipm"])
+@pytest.mark.parametrize("edit", ["A.data", "cost"])
+def test_highs_model_follows_an_edit_in_place(backend, edit):
+    lp = dense_lp()
+    before = solve_with_backend(lp, backend)
+    if edit == "cost":
+        lp.cost[:10] *= -1.0
+    else:
+        lp.A.data[:150] *= 3.0  # the first five rows, tighter
+    after = solve_with_backend(lp, backend)
+    assert not np.array_equal(after.x, before.x)
+    assert solution_bits(after) == solution_bits(solve_with_backend(copy_program(lp), backend))
 
 
 def test_highs_status_table_matches_scipy():
@@ -434,7 +510,8 @@ def test_ipm_residual_rule_on_doctored_solution():
         var_lower=[0.0, 0.0],
         var_upper=[2.0, 2.0],
     )
-    A, _, row_upper, n_upper = lpmod._ipm_rows(lp)
+    rows = lpmod._IpmRows(lp)
+    A, (_, row_upper), n_upper = rows.matrix(lp), rows.bounds(lp), rows.n_upper
     assert n_upper == 3 and A.shape == (4, 2)  # the ranged row is split; one equality
 
     def check(x):

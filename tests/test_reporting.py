@@ -33,6 +33,18 @@ def test_emit_writes_all_tables(tmp_path):
             assert "schema_version" in first
 
 
+def test_emit_removes_histograms_of_rounds_not_in_the_report(tmp_path):
+    report = sample_report()
+    rows = report.histograms["0"]
+    report.histograms = {str(k): rows for k in range(3)}
+    emit_report(report, tmp_path)
+    (tmp_path / "histogram_notes.csv").write_text("not a round's table\n")
+    report.histograms = {str(k): rows for k in range(2)}
+    emit_report(report, tmp_path)
+    names = sorted(p.name for p in tmp_path.glob("histogram_*.csv"))
+    assert names == ["histogram_0.csv", "histogram_1.csv", "histogram_notes.csv"]
+
+
 def test_report_json_round_trip(tmp_path):
     report = sample_report()
     emit_report(report, tmp_path)
