@@ -9,6 +9,7 @@ import-matpower, validate.  Exit codes are a stable scripting contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -21,18 +22,15 @@ from .errors import (
     GridstoreError,
     InfeasibleScenario,
     ParseError,
-    RaggedSeries,
     SolverFailure,
-    UnknownBusId,
     UnreachablePenetration,
-    UnsupportedFeature,
     ValidationError,
     ZeroFluctuationDenominator,
     ZeroLoad,
 )
 from .fileio import load_network_document, write_network_document
 from .lp import BACKENDS
-from .matpower import add_renewable_sites, import_matpower_document
+from .matpower import DEFAULT_DT_HOURS, add_renewable_sites, import_matpower_document
 from .reporting import emit_report
 from .runners import (
     build_scenarios,
@@ -51,9 +49,6 @@ EXIT_SOLVER = 4
 _CONFIG_ERRORS = (
     ParseError,
     ValidationError,
-    UnknownBusId,
-    RaggedSeries,
-    UnsupportedFeature,
     UnreachablePenetration,
     ZeroLoad,
     ZeroFluctuationDenominator,
@@ -105,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("case", help="input .m case file")
     p.add_argument("--out", required=True, help="output network JSON path")
     p.add_argument(
-        "--dt-hours", type=float, default=1.0 / 12.0, help="dispatch step used to scale RAMP_10"
+        "--dt-hours", type=float, default=DEFAULT_DT_HOURS, help="dispatch step used to scale RAMP_10"
     )
     p.add_argument(
         "--renewable",
@@ -130,15 +125,22 @@ def _overrides(args) -> dict:
     }
 
 
-def _cmd_place(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+@contextlib.contextmanager
+def _error_record(out_dir):
+    """Write ``error.json`` to ``out_dir`` for a failure with an exit code, then re-raise."""
     try:
-        report = run_place(cfg)
+        yield
     except Exception as exc:
         code = _classify(exc)
         if code is not None:
-            write_error_record(cfg.out_dir, exc, code)
+            write_error_record(out_dir, exc, code)
         raise
+
+
+def _cmd_place(args) -> int:
+    cfg = load_run_config(args.config, _overrides(args))
+    with _error_record(cfg.out_dir):
+        report = run_place(cfg)
     emit_report(report, cfg.out_dir)
     final = report.iterations[-1]
     print(
@@ -158,13 +160,8 @@ def _cmd_sweep(args) -> int:
             levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
         except ValueError:
             raise ValidationError(f"bad --levels value {args.levels!r}") from None
-    try:
+    with _error_record(cfg.out_dir):
         report = run_sweep(cfg, levels)
-    except Exception as exc:
-        code = _classify(exc)
-        if code is not None:
-            write_error_record(cfg.out_dir, exc, code)
-        raise
     emit_report(report, cfg.out_dir)
     for row in report.sweep:
         print(

@@ -24,6 +24,7 @@ from .dispatch import DispatchConfig
 from .errors import ValidationError
 from .fileio import json_value, read_json
 from .lp import BACKENDS
+from .matpower import DEFAULT_DT_HOURS
 from .placement import PerfWeights
 from .scenarios import SyntheticParams
 
@@ -137,7 +138,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
             raise ValidationError(f"{path}: csv scenario source needs 'dt_hours'")
     else:
         synthetic = _from_json(SyntheticParams, spec, "scenarios", path, SCENARIO_KEYS, seed=seed)
-    dt_hours = json_value(spec.get("dt_hours", 1.0 / 12.0), "float", "scenarios.dt_hours", path)
+    dt_hours = json_value(spec.get("dt_hours", DEFAULT_DT_HOURS), "float", "scenarios.dt_hours", path)
     n_steps = json_value(spec.get("n_steps", 24), "int", "scenarios.n_steps", path)
 
     disp = json_value(merged.get("dispatch", {}), "dict", "dispatch", path)

@@ -13,8 +13,8 @@ Three interchangeable solvers implement the same result contract:
   interior point for large dispatch instances, through one adapter over
   the HiGHS bindings bundled with scipy.  They pass the model and options
   of scipy's ``milp`` and ``linprog(method="highs-ipm")``, share one status
-  table and one result path, report HiGHS's iteration count, and take no
-  tolerance: HiGHS runs with its own defaults.
+  table, report HiGHS's iteration count, and take no tolerance: HiGHS
+  runs with its own defaults.
 
 The bindings are one extension module, ``scipy.optimize._highspy._core``.
 Importing it by name first runs ``scipy/optimize/__init__.py``, which pulls
@@ -41,10 +41,13 @@ workspace that neither ``clearSolver`` nor ``clearModel`` releases (peak
 RSS over the 15 ``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).
 Every answer is bit-identical to a solve on a fresh model and object.
 
-Every solver answers a program without variables the same way, returns
-``x`` clipped into the variable bounds with its worst residual, and reports
+Every solver answers a program without variables the same way and reports
 an infeasible, unbounded or iteration-limited instance as a status, not as
-an exception.  :func:`solve_with_backend` picks a solver by name.
+an exception.  Every optimal ``x`` takes one path, :func:`_optimal`, with
+one rule: it must be finite, and once clipped into the variable bounds it
+may miss a row by at most ``max(10 * feas_tol, 1e-6)``, else the solver
+raises SolverFailure.  ``LpSolution.max_violation`` is that row residual.
+:func:`solve_with_backend` picks a solver by name.
 """
 
 from __future__ import annotations
@@ -150,22 +153,28 @@ class LpSolution:
 
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Worst residual of x against every row and variable bound."""
-    worst = 0.0
-    if lp.n_vars:
-        worst = max(
-            worst,
-            float(np.max(np.maximum(lp.var_lower - x, 0.0), initial=0.0)),
-            float(np.max(np.maximum(x - lp.var_upper, 0.0), initial=0.0)),
-        )
-    if lp.n_rows:
-        act = lp.matrix() @ x
-        worst = max(
-            worst,
-            float(np.max(np.maximum(lp.row_lower - act, 0.0), initial=0.0)),
-            float(np.max(np.maximum(act - lp.row_upper, 0.0), initial=0.0)),
-        )
-    return worst
+    """Worst residual of x against the rows; every solver clips x into the variable bounds."""
+    act = lp.matrix() @ x
+    return max(
+        0.0,
+        float(np.max(lp.row_lower - act, initial=0.0)),
+        float(np.max(act - lp.row_upper, initial=0.0)),
+    )
+
+
+def _optimal(
+    lp: LinearProgram, x: np.ndarray, iterations: int, name: str, feas_tol: float
+) -> LpSolution:
+    """Every solver's one acceptance rule for its optimal ``x``; clips ``x`` in place."""
+    # max() reads a NaN residual as 0, so NaN is caught here
+    if not np.isfinite(x).all():
+        raise SolverFailure(f"{name} returned a non-finite solution")
+    np.clip(x, lp.var_lower, lp.var_upper, out=x)
+    resid = max_violation(lp, x)
+    tol = max(10 * feas_tol, 1e-6)
+    if resid > tol:
+        raise SolverFailure(f"{name} solution misses its rows by {resid:.3e}, more than {tol:.1e}")
+    return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), iterations, resid)
 
 
 def _empty_program(lp: LinearProgram) -> LpSolution:
@@ -443,13 +452,7 @@ def solve(
 
     tab.refactor()
     tab.recompute_basic_values()
-    x = tab.values[: lp.n_vars].copy()
-    np.clip(x, lp.var_lower, lp.var_upper, out=x)
-    resid = max_violation(lp, x)
-    if resid > max(10 * feas_tol, 1e-6):
-        raise SolverFailure(f"simplex terminated with residual {resid:.3e}")
-    obj = float(lp.cost @ x)
-    return LpSolution(Status.OPTIMAL, x, obj, total_iters, resid)
+    return _optimal(lp, tab.values[: lp.n_vars].copy(), total_iters, "simplex", feas_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +471,6 @@ _HIGHS_STATUS = {
     "kTimeLimit": Status.ITERATION_LIMIT,
     "kUnbounded": Status.UNBOUNDED,
 }
-
-# linprog's post-solve tolerance: 10 * sqrt(tol) at its default tol of 1e-9
-_IPM_RESIDUAL_TOL = 10 * np.sqrt(1e-9)
 
 
 @functools.cache
@@ -527,8 +527,7 @@ class _IpmRows:
     """linprog's one-sided rows ``[A[<=]; -A[>=]; A[==]]`` for a program's row bounds.
 
     ``blocks`` holds the row numbers of the three blocks; a ranged row is in
-    the first two.  The first ``n_upper`` rows are the ``<=`` rows, with
-    lower bound -inf.
+    the first two, which are the ``<=`` rows, with lower bound -inf.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -538,17 +537,17 @@ class _IpmRows:
             np.flatnonzero(np.isfinite(lp.row_lower) & ~eq),
             np.flatnonzero(eq),
         )
-        self.n_upper = len(self.blocks[0]) + len(self.blocks[1])
 
     def matrix(self, lp: LinearProgram) -> sp.csr_matrix:
+        upper, lower, _ = self.blocks
         A = lp.matrix()[np.concatenate(self.blocks)]
-        A.data[A.indptr[len(self.blocks[0])] : A.indptr[self.n_upper]] *= -1.0
+        A.data[A.indptr[len(upper)] : A.indptr[len(upper) + len(lower)]] *= -1.0
         return A
 
     def bounds(self, lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
         upper, lower, equal = self.blocks
         row_upper = np.concatenate([lp.row_upper[upper], -lp.row_lower[lower], lp.row_lower[equal]])
-        row_lower = np.concatenate([np.full(self.n_upper, -INF), lp.row_lower[equal]])
+        row_lower = np.concatenate([np.full(len(upper) + len(lower), -INF), lp.row_lower[equal]])
         return row_lower, row_upper
 
 
@@ -613,8 +612,11 @@ def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
     """Solve ``lp`` with HiGHS dual simplex, as ``milp`` runs it, or interior point.
 
     Interior point runs on :class:`_IpmRows`' split, as ``linprog`` runs it,
-    followed by linprog's post-solve check.
+    so that its ``x`` is bit-identical to linprog's.
     """
+    lp.validate()
+    if lp.n_vars == 0:
+        return _empty_program(lp)
     h = _highs()
     name = "HiGHS IPM" if ipm else "HiGHS"
     rows = _IpmRows(lp) if ipm else None
@@ -638,31 +640,9 @@ def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
         _, iterations = highs.getInfoValue("ipm_iteration_count")
     if status is not Status.OPTIMAL:
         return LpSolution(status, iterations=iterations)
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    if ipm:
-        _check_ipm_solution(lp, x, np.array(solution.row_value), row_upper, rows.n_upper)
-    np.clip(x, lp.var_lower, lp.var_upper, out=x)
-    return LpSolution(Status.OPTIMAL, x, float(lp.cost @ x), iterations, max_violation(lp, x))
-
-
-def _check_ipm_solution(lp: LinearProgram, x, row_value, row_upper, n_upper: int) -> None:
-    """linprog's check of an optimal answer on :class:`_IpmRows`' rows (its status 4).
-
-    NaN, or a bound, ``<=`` slack or equality residual beyond
-    ``_IPM_RESIDUAL_TOL``, raises SolverFailure.
-    """
-    resid = row_upper - row_value
-    tol = _IPM_RESIDUAL_TOL
-    if np.isnan(x).any() or np.isnan(resid).any():
-        raise SolverFailure("HiGHS IPM returned NaN in its solution")
-    if (
-        np.any(x < lp.var_lower - tol)
-        or np.any(x > lp.var_upper + tol)
-        or np.any(resid[:n_upper] < -tol)
-        or np.any(np.abs(resid[n_upper:]) > tol)
-    ):
-        raise SolverFailure(f"HiGHS IPM solution misses its constraints by more than {tol:.2e}")
+    # HiGHS's primal feasibility tolerance defaults to DEFAULT_FEAS_TOL too
+    x = np.array(highs.getSolution().col_value)
+    return _optimal(lp, x, iterations, name, DEFAULT_FEAS_TOL)
 
 
 def solve_highs(lp: LinearProgram) -> LpSolution:
@@ -670,9 +650,6 @@ def solve_highs(lp: LinearProgram) -> LpSolution:
 
     ``iterations`` is HiGHS's simplex iteration count.
     """
-    lp.validate()
-    if lp.n_vars == 0:
-        return _empty_program(lp)
     return _run_highs(lp, ipm=False)
 
 
@@ -684,9 +661,6 @@ def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
     ``iterations`` is HiGHS's simplex (crossover) iteration count, or its
     IPM count when crossover made none.
     """
-    lp.validate()
-    if lp.n_vars == 0:
-        return _empty_program(lp)
     return _run_highs(lp, ipm=True)
 
 

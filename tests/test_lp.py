@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -510,24 +511,74 @@ def test_ipm_residual_rule_on_doctored_solution():
         var_lower=[0.0, 0.0],
         var_upper=[2.0, 2.0],
     )
-    rows = lpmod._IpmRows(lp)
-    A, (_, row_upper), n_upper = rows.matrix(lp), rows.bounds(lp), rows.n_upper
-    assert n_upper == 3 and A.shape == (4, 2)  # the ranged row is split; one equality
 
-    def check(x):
-        lpmod._check_ipm_solution(lp, x, A @ x, row_upper, n_upper)
+    def accept(x):
+        return lpmod._optimal(lp, np.array(x), 0, "doctored", lpmod.DEFAULT_FEAS_TOL)
 
-    tol = lpmod._IPM_RESIDUAL_TOL
-    check(np.array([0.5, 0.5]))
-    check(np.array([0.5 + 0.4 * tol, 0.5]))  # within the tolerance on every row
+    tol = 1e-6
+    assert accept([0.5, 0.5]).max_violation == 0.0
+    # within the tolerance on every row
+    assert accept([0.5 + 0.4 * tol, 0.5]).max_violation == pytest.approx(0.4 * tol)
     for doctored in (
         [np.nan, 0.5],
         [0.5 + 2 * tol, 0.5],  # the equality row
         [0.75 + tol, 0.25 - tol],  # the <= row, equality kept
-        [-2 * tol, 1.0 + 2 * tol],  # a variable bound
+        [-2 * tol, 1.0 + 2 * tol],  # a variable bound: clipped, x then misses the equality row
     ):
-        with pytest.raises(SolverFailure):
-            check(np.array(doctored))
+        with pytest.raises(SolverFailure, match="doctored"):
+            accept(doctored)
+
+
+class DoctoredHighs:
+    """A HiGHS object whose optimal ``col_value`` comes back altered by ``doctor``."""
+
+    def __init__(self, highs, doctor):
+        self.highs, self.doctor = highs, doctor
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=self.doctor(np.array(self.highs.getSolution().col_value)))
+
+
+def shift_first(x):
+    x[0] += 1e-3
+    return x
+
+
+def first_nan(x):
+    x[0] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("doctor", [shift_first, first_nan])
+@pytest.mark.parametrize("backend", ["highs", "highs-ipm"])
+def test_highs_rejects_a_doctored_optimal_x(backend, doctor, monkeypatch):
+    lp = surplus_sweep()[0]  # balance rows are equalities, so any move of x misses one
+    assert solve_with_backend(lp, backend).status is Status.OPTIMAL
+    make = lpmod._highs_solver
+    monkeypatch.setattr(lpmod, "_highs_solver", lambda *a: DoctoredHighs(make(*a), doctor))
+    monkeypatch.setattr(lpmod, "_MODELS", {})
+    with pytest.raises(SolverFailure, match="HiGHS"):
+        solve_with_backend(lp, backend)
+
+
+@pytest.mark.parametrize("backend", sorted(lpmod.BACKENDS))
+def test_max_violation_is_the_row_residual_of_x(backend):
+    rng = np.random.default_rng(11)
+    progs = surplus_sweep() + [dense_lp()] + [random_bounded_lp(rng) for _ in range(10)]
+    solved = 0
+    for lp in progs:
+        sol = solve_with_backend(lp, backend)
+        if sol.status is not Status.OPTIMAL:
+            continue
+        solved += 1
+        assert np.all((lp.var_lower <= sol.x) & (sol.x <= lp.var_upper))
+        act = lp.A @ sol.x
+        rows = np.concatenate([[0.0], lp.row_lower - act, act - lp.row_upper])
+        assert sol.max_violation == rows.max()
+    assert solved >= 10
 
 
 def test_backend_registry():
