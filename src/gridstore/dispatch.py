@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp as lpmod
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .lp import LinearProgram, Status
+from .lp import CsrMatrix, LinearProgram, Status
 from .network import Network, build_laplacian, check_connected, injections_from_flows
 
 CURTAIL_PENALTY = 1e4  # $/MWh, large against any sane fuel cost
@@ -74,6 +73,8 @@ class Scenario:
             raise ValidationError("scenario needs at least one step")
         if self.load.shape[0] != self.n_steps or self.interchange.shape != self.load.shape:
             raise ValidationError("scenario series disagree on the number of steps")
+        if not all(np.isfinite(a).all() for a in (self.renewable, self.load, self.interchange)):
+            raise ValidationError("scenario series must be finite")
         if np.any(self.renewable < 0) or np.any(self.load < 0):
             raise ValidationError("renewable and load series must be nonnegative")
 
@@ -164,8 +165,9 @@ class DispatchIndex:
 class _Rows:
     """Constraint rows gathered family by family as COO index blocks.
 
-    No two blocks set the same coefficient and none sets a zero, so the CSR
-    matrix holds exactly the entries set, columns sorted within each row.
+    No two blocks set the same coefficient and none sets a zero, so
+    :meth:`CsrMatrix.from_coo` holds exactly the entries set, columns sorted
+    within each row, in the arrays ``scipy.sparse.csr_matrix`` would build.
     """
 
     def __init__(self):
@@ -192,7 +194,7 @@ class _Rows:
         return LinearProgram(
             n_vars=len(cost),
             cost=cost,
-            A=sp.csr_matrix((v, (r, c)), shape=(self.n, len(cost))),
+            A=CsrMatrix.from_coo(r, c, v, (self.n, len(cost))),
             row_lower=np.concatenate(self.lower),
             row_upper=np.concatenate(self.upper),
             var_lower=var_lower,

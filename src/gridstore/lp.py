@@ -3,7 +3,8 @@
 A :class:`LinearProgram` is ``min c'x`` subject to two-sided row activities
 ``row_lo <= Ax <= row_hi`` and variable bounds ``lo <= x <= hi`` (any bound
 may be infinite; equal bounds mean equality).  ``A`` is one
-``scipy.sparse`` CSR matrix.
+:class:`CsrMatrix`: the three compressed-sparse-row arrays HiGHS takes as
+they are, and no more.
 
 Three interchangeable solvers implement the same result contract:
 
@@ -26,6 +27,15 @@ scipy.optimize`` reuses it.  The binary and its options are the same either
 way, so no LP's answer moves; the benchmark's set-up time, from importing
 gridstore through its first solve, fell from 0.78 s to 0.44 s
 (``rts_greedy``, medians of 10 runs on a 2-core Xeon).
+
+For the same reason no HiGHS path imports ``scipy.sparse``: 0.19-0.23 s
+and 20 MB, about half of it ``scipy._lib.array_api_compat`` loading
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, only to hold three
+arrays.  :class:`CsrMatrix` holds them with the index dtype scipy picks,
+builds from triplets in scipy's entry order, and multiplies a vector in
+scipy's summation order, so every model HiGHS receives and every residual
+is byte-identical to the ones built through ``scipy.sparse``.  Only the
+in-repo simplex, which factors bases, imports ``scipy.sparse``.
 
 A scenario sweep solves programs that share one ``A``, ``cost`` and
 ``var_lower`` and differ only in their row bounds and variable upper bounds
@@ -62,7 +72,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import SolverFailure, ValidationError
 
@@ -82,19 +91,93 @@ class Status(enum.Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
+class CsrMatrix:
+    """A sparse matrix as its compressed-sparse-row arrays, the form HiGHS takes.
+
+    ``indptr`` (n_rows + 1), ``indices`` and ``data`` (nnz each) mean what
+    they mean in ``scipy.sparse.csr_matrix``; the constructor keeps the
+    arrays it is given.  A matrix built here has scipy's arrays and dtypes.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_coo(cls, rows, cols, values, shape) -> CsrMatrix:
+        """Entries ``A[rows[k], cols[k]] = values[k]``, sorted by row, then column.
+
+        This is ``scipy.sparse.csr_matrix((values, (rows, cols)), shape)``
+        byte for byte when no (row, column) pair repeats; scipy would add
+        repeats up, this keeps each.
+        """
+        order = np.lexsort((cols, rows))
+        # scipy's index dtype: int32 unless a dimension or the nnz needs more
+        idx = np.int32 if max(*shape, len(order)) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(shape[0] + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols[order].astype(idx), np.asarray(values, float)[order], shape)
+
+    @classmethod
+    def convert(cls, A) -> CsrMatrix:
+        """``A`` itself, a scipy sparse matrix's ``tocsr()`` or a dense array's nonzeros."""
+        if isinstance(A, CsrMatrix):
+            return A
+        if hasattr(A, "tocsr"):  # any scipy sparse matrix or array, without importing scipy.sparse
+            A = A.tocsr()
+            return cls(A.indptr, A.indices, np.asarray(A.data, float), A.shape)
+        dense = np.atleast_2d(np.asarray(A, float))
+        rows, cols = np.nonzero(dense)
+        return cls.from_coo(rows, cols, dense[rows, cols], dense.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def _entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` for a vector ``x``.
+
+        ``bincount`` adds each row's products into a zero in entry order, as
+        scipy's ``csr_matvec`` does, so the result is scipy's bit for bit.
+        """
+        products = self.data * np.asarray(x)[self.indices]
+        return np.bincount(self._entry_rows(), weights=products, minlength=self.shape[0])
+
+    def take_rows(self, rows: np.ndarray) -> CsrMatrix:
+        """The rows numbered ``rows``, in that order, as new arrays: scipy's ``A[rows]``."""
+        start, stop = self.indptr[rows], self.indptr[rows + 1]
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(stop - start, out=indptr[1:])
+        entries = np.repeat(start - indptr[:-1], stop - start) + np.arange(indptr[-1])
+        shape = (len(rows), self.shape[1])
+        return CsrMatrix(indptr, self.indices[entries], self.data[entries], shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self._entry_rows(), self.indices), self.data)
+        return out
+
+
 @dataclass
 class LinearProgram:
     """LP over a CSR constraint matrix with two-sided rows and variable bounds.
 
-    ``A`` may be anything ``scipy.sparse.csr_matrix`` accepts (a sparse
-    matrix or a dense array); it is stored as CSR, and a float CSR matrix is
-    kept as it is, so programs built on one matrix share it.  Without ``A``
-    the program has ``len(row_lower)`` empty rows.
+    ``A`` is a :class:`CsrMatrix`, kept as it is, so programs built on one
+    matrix share it.  A dense array or nested list is converted to its
+    nonzeros, and any scipy sparse matrix through its own ``tocsr()``, which
+    keeps a CSR matrix's arrays (see :meth:`CsrMatrix.convert`); either way
+    the arrays are those ``scipy.sparse.csr_matrix(A, dtype=float)`` holds.
+    Without ``A`` the program has ``len(row_lower)`` empty rows.
     """
 
     n_vars: int
     cost: np.ndarray  # (n_vars,)
-    A: sp.csr_matrix | None = None  # (n_rows, n_vars)
+    A: CsrMatrix | None = None  # (n_rows, n_vars)
     row_lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
     row_upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
     var_lower: np.ndarray | None = None
@@ -105,9 +188,8 @@ class LinearProgram:
         self.row_lower = np.asarray(self.row_lower, dtype=float)
         self.row_upper = np.asarray(self.row_upper, dtype=float)
         if self.A is None:
-            self.A = sp.csr_matrix((len(self.row_lower), self.n_vars))
-        elif not (isinstance(self.A, sp.csr_matrix) and self.A.dtype == float):
-            self.A = sp.csr_matrix(self.A, dtype=float)
+            self.A = np.zeros((len(self.row_lower), self.n_vars))
+        self.A = CsrMatrix.convert(self.A)
         if self.var_lower is None:
             self.var_lower = np.full(self.n_vars, -INF)
         else:
@@ -128,6 +210,9 @@ class LinearProgram:
             raise ValidationError("cost entries must be finite")
         if self.row_lower.shape != self.row_upper.shape:
             raise ValidationError("row bound arrays disagree")
+        for name in ("row_lower", "row_upper", "var_lower", "var_upper"):
+            if np.isnan(getattr(self, name)).any():
+                raise ValidationError(f"{name} has NaN entries")
         if np.any(self.row_lower > self.row_upper):
             raise ValidationError("row lower bound exceeds upper bound")
         if np.any(self.var_lower > self.var_upper):
@@ -139,7 +224,7 @@ class LinearProgram:
         if not np.all(np.isfinite(self.A.data)):
             raise ValidationError("constraint matrix has non-finite coefficients")
 
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> CsrMatrix:
         return self.A
 
 
@@ -207,11 +292,13 @@ _BASIC = 3
 
 class _Tableau:
     def __init__(self, lp: LinearProgram, feas_tol: float):
+        import scipy.sparse as sp  # the one user of scipy.sparse; see the module docstring
+
         m = lp.n_rows
         n = lp.n_vars
         self.m = m
 
-        A = lp.matrix()
+        A = sp.csr_matrix((lp.A.data, lp.A.indices, lp.A.indptr), shape=lp.A.shape)
         self.lower = np.concatenate([lp.var_lower, lp.row_lower])
         self.upper = np.concatenate([lp.var_upper, lp.row_upper])
         self.cost = np.concatenate([lp.cost, np.zeros(m)])
@@ -538,9 +625,9 @@ class _IpmRows:
             np.flatnonzero(eq),
         )
 
-    def matrix(self, lp: LinearProgram) -> sp.csr_matrix:
+    def matrix(self, lp: LinearProgram) -> CsrMatrix:
         upper, lower, _ = self.blocks
-        A = lp.matrix()[np.concatenate(self.blocks)]
+        A = lp.A.take_rows(np.concatenate(self.blocks))
         A.data[A.indptr[len(upper)] : A.indptr[len(upper) + len(lower)]] *= -1.0
         return A
 

@@ -14,6 +14,7 @@ and the whole set is reproducible across platforms and worker counts.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -244,6 +245,8 @@ def load_scenarios_csv(paths, network: Network, dt_hours: float) -> ScenarioSet:
                     value = float(value_s)
                 except ValueError as exc:
                     raise ParseError(f"bad numeric field: {exc}", path, lineno) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{kind} value must be finite, got {value_s}", path, lineno)
                 if step < 0:
                     raise ParseError(f"negative step {step}", path, lineno)
                 if kind == "renewable":

@@ -147,6 +147,18 @@ def test_dispatch_debug_prints_summary(tmp_path, capsys):
     assert doc["residuals"]["power_balance"] <= 1e-6
 
 
+@pytest.mark.parametrize("backend", ["simplex", "highs", "highs-ipm"])
+def test_dispatch_of_a_nan_load_exits_2(tmp_path, capsys, backend):
+    rows = ["scenario,step,kind,target_id,value_mw"]
+    rows += [f"{label},{step},load,1,6.0" for label in ("a", "b") for step in range(3)]
+    rows[5] = "b,1,load,1,nan"  # line 6 of the file
+    (tmp_path / "scens.csv").write_text("\n".join(rows) + "\n")
+    scenarios = {"type": "csv", "paths": ["scens.csv"], "dt_hours": 1.0 / 12.0}
+    cfg = setup_run(tmp_path, scenarios=scenarios, solver=backend)
+    assert main(["dispatch", "--config", str(cfg), "--scenario", "1"]) == 2
+    assert "scens.csv:6: load value must be finite" in capsys.readouterr().err
+
+
 def test_dispatch_bad_index_exits_2(tmp_path):
     cfg = setup_run(tmp_path)
     assert main(["dispatch", "--config", str(cfg), "--scenario", "99"]) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridstore.dispatch import (
     DispatchConfig,
@@ -11,8 +12,13 @@ from gridstore.dispatch import (
     verify_dispatch,
 )
 from gridstore import lp as lpmod
-from gridstore.errors import InconsistentDimensions, InfeasibleScenario, SolverFailure
-from gridstore.lp import LpSolution, Status
+from gridstore.errors import (
+    InconsistentDimensions,
+    InfeasibleScenario,
+    SolverFailure,
+    ValidationError,
+)
+from gridstore.lp import CsrMatrix, LpSolution, Status
 from gridstore.lp import solve as lp_solve
 from gridstore.network import Bus, Generator, Line, Network, RenewableSite
 from lp_oracle import oracle_solve
@@ -31,6 +37,38 @@ def one_bus_network(ramp=1.0, cost=1.0, p_max=10.0, with_site=True):
 
 
 # -- construction shape ------------------------------------------------------
+
+
+def record_assembly(monkeypatch) -> list:
+    """Make ``CsrMatrix.from_coo`` note each matrix it builds in the returned
+    list, with scipy's CSR matrix of the same triplets."""
+    built = []
+    from_coo = CsrMatrix.from_coo
+
+    def record(rows, cols, values, shape):
+        A = from_coo(rows, cols, values, shape)
+        built.append((A, sp.csr_matrix((values, (rows, cols)), shape=shape)))
+        return A
+
+    monkeypatch.setattr(CsrMatrix, "from_coo", staticmethod(record))
+    return built
+
+
+def csr_bytes(A) -> list[tuple]:
+    return [(a.dtype.str, a.tobytes()) for a in (A.indptr, A.indices, A.data)] + [A.shape]
+
+
+def assert_matches_scipy(prog, ref: sp.csr_matrix) -> None:
+    """``prog.A``, its IPM row split and its mat-vec equal scipy's, byte for byte."""
+    assert csr_bytes(prog.A) == csr_bytes(ref)
+    rows = lpmod._IpmRows(prog)
+    n_upper, n_lower = len(rows.blocks[0]), len(rows.blocks[1])
+    split = ref[np.concatenate(rows.blocks)]
+    split.data[split.indptr[n_upper] : split.indptr[n_upper + n_lower]] *= -1.0
+    assert csr_bytes(rows.matrix(prog)) == csr_bytes(split)
+    # magnitudes from 1e-3 to 1e3, so that a change in summation order shows
+    x = np.random.default_rng(0).normal(size=prog.n_vars) * np.logspace(-3, 3, prog.n_vars)
+    assert (prog.A @ x).tobytes() == (ref @ x).tobytes()
 
 
 def test_lp_shape_one_bus_no_storage():
@@ -97,7 +135,7 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("variant", sorted(LAYOUTS))
-def test_lp_layout_pinned(variant):
+def test_lp_layout_pinned(variant, monkeypatch):
     caps, rows, cost, var_lower, var_upper = LAYOUTS[variant]
     net = Network(
         buses=[Bus(0, is_slack=True), Bus(1)],
@@ -114,8 +152,12 @@ def test_lp_layout_pinned(variant):
     cfg = DispatchConfig(
         storage_nodes={1}, allow_curtailment=True, initial_soc_free=False, **caps
     )
+    built = record_assembly(monkeypatch)
     prog, _ = build_dispatch_lp(net, scen, cfg)
     assert np.array_equal(prog.matrix().toarray(), [r[0] for r in rows])
+    ((A, ref),) = built
+    assert A is prog.A
+    assert_matches_scipy(prog, ref)
     assert list(prog.row_lower) == [r[1] for r in rows]
     assert list(prog.row_upper) == [r[2] for r in rows]
     assert list(prog.cost) == cost
@@ -420,7 +462,7 @@ def lp_bytes(prog) -> list[tuple]:
 @pytest.mark.parametrize("caps", ["sized"])  # the only capacity mode; kept in the case ids
 @pytest.mark.parametrize("curtail", [False, True])
 @pytest.mark.parametrize("soc_free", [True, False])
-def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free):
+def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free, monkeypatch):
     rng = np.random.default_rng(17)
     net = random_network(rng, n_buses=5, flow_limits=True, n_sites=2)
     scens = [random_scenario(rng, net, label=f"s{i}") for i in range(5)]
@@ -428,12 +470,15 @@ def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free):
     cfg = DispatchConfig(
         storage_nodes=frozenset(nodes), allow_curtailment=curtail, initial_soc_free=soc_free
     )
+    built = record_assembly(monkeypatch)
     first, idx = build_dispatch_lp(net, scens[0], cfg)
     before = lp_bytes(first)
     for scen in scens:
         fresh, _ = build_dispatch_lp(net, scen, cfg)
         assert lp_bytes(retarget_dispatch_lp(net, scen, cfg, first, idx)) == lp_bytes(fresh)
+        assert_matches_scipy(fresh, built[-1][1])
     assert lp_bytes(first) == before  # the template is left as built
+    assert len(built) == 1 + len(scens)
 
 
 @pytest.mark.parametrize("field", ["n_steps", "dt_hours"])
@@ -470,6 +515,15 @@ def test_rts_sized_case_builds_and_solves():
 
 
 # -- validation ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("series", ["renewable", "load", "interchange"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scenario_rejects_non_finite_series(series, bad):
+    arrays = {"renewable": np.ones((2, 1)), "load": np.ones((2, 1)), "interchange": np.ones((2, 1))}
+    arrays[series][1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        Scenario(dt_hours=DT, **arrays)
 
 
 def test_dimension_mismatch_rejected():

@@ -13,6 +13,7 @@ import gridstore.lp as lpmod
 from gridstore.config import load_run_config
 from gridstore.errors import SolverFailure, ValidationError
 from gridstore.lp import (
+    CsrMatrix,
     LinearProgram,
     Status,
     default_iter_limit,
@@ -186,7 +187,7 @@ def test_relaxation_never_hurts():
         widened = LinearProgram(
             n_vars=lp.n_vars,
             cost=lp.cost.copy(),
-            A=lp.A.copy(),
+            A=lp.A,
             row_lower=lp.row_lower - 0.5,
             row_upper=lp.row_upper + 0.5,
             var_lower=lp.var_lower - 0.5,
@@ -217,6 +218,44 @@ def test_validate_rejects_bad_bounds():
     lp = LinearProgram(n_vars=1, cost=[1.0], var_lower=[2.0], var_upper=[1.0])
     with pytest.raises(ValidationError):
         lp.validate()
+
+
+@pytest.mark.parametrize("backend", sorted(lpmod.BACKENDS))
+@pytest.mark.parametrize("bound", ["row_lower", "row_upper", "var_lower", "var_upper"])
+def test_every_backend_rejects_a_nan_bound(backend, bound):
+    lp = dense_lp()
+    getattr(lp, bound)[3] = np.nan
+    with pytest.raises(ValidationError, match=f"{bound} has NaN"):
+        solve_with_backend(lp, backend)
+
+
+MATRIX = np.array([[0.0, 1.5, -2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+MATRIX_FORMS = {
+    "list": MATRIX.tolist(),
+    "dense": MATRIX,
+    "csr": sp.csr_matrix(MATRIX),
+    "csc": sp.csc_matrix(MATRIX),
+    "coo": sp.coo_matrix(MATRIX),
+    "coo_repeats": sp.coo_matrix(([1.0, 0.5, 3.0, 1.0], ([0, 0, 2, 0], [1, 2, 0, 1])), (3, 3)),
+    "csr_int": sp.csr_matrix(MATRIX.astype(int)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MATRIX_FORMS))
+def test_program_takes_dense_and_scipy_matrices_as_scipy_did(form):
+    given = MATRIX_FORMS[form]
+    lp = LinearProgram(3, np.ones(3), given, -np.ones(3), np.ones(3), -np.ones(3), np.ones(3))
+    want = sp.csr_matrix(given, dtype=float)  # how programs stored their matrix before
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(lp.A, name), getattr(want, name)
+        assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+    assert lp.A.shape == want.shape and lp.A.nnz == want.nnz
+    assert np.array_equal(lp.A.toarray(), want.toarray())
+    if form == "csr":  # a float CSR matrix's arrays are kept, as a CsrMatrix is
+        assert lp.A.data is given.data and lp.A.indices is given.indices
+        assert LinearProgram(3, np.ones(3), lp.A).A is lp.A
+    sols = [solve_with_backend(lp, backend) for backend in sorted(lpmod.BACKENDS)]
+    assert all(sol.status is Status.OPTIMAL for sol in sols)
 
 
 # -- external backend --------------------------------------------------------
@@ -275,17 +314,22 @@ SCIPY_STATUS = {
 }
 
 
+def scipy_csr(A: CsrMatrix) -> sp.csr_matrix:
+    """The same matrix as scipy's CSR, over the same arrays, for scipy's wrappers."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def milp_reference(lp):
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    constraints = [LinearConstraint(lp.matrix(), lp.row_lower, lp.row_upper)] if lp.n_rows else []
-    return milp(c=lp.cost, constraints=constraints, bounds=Bounds(lp.var_lower, lp.var_upper))
+    rows = [LinearConstraint(scipy_csr(lp.A), lp.row_lower, lp.row_upper)] if lp.n_rows else []
+    return milp(c=lp.cost, constraints=rows, bounds=Bounds(lp.var_lower, lp.var_upper))
 
 
 def linprog_ipm_reference(lp):
     from scipy.optimize import linprog
 
-    A = lp.matrix().tocsc()
+    A = scipy_csr(lp.A).tocsc()
     eq = lp.row_lower == lp.row_upper
     take_u = np.isfinite(lp.row_upper) & ~eq
     take_l = np.isfinite(lp.row_lower) & ~eq
@@ -320,7 +364,7 @@ def copy_program(lp):
     return LinearProgram(
         lp.n_vars,
         lp.cost.copy(),
-        lp.A.copy(),
+        CsrMatrix(lp.A.indptr.copy(), lp.A.indices.copy(), lp.A.data.copy(), lp.A.shape),
         lp.row_lower.copy(),
         lp.row_upper.copy(),
         lp.var_lower.copy(),
@@ -447,6 +491,7 @@ def test_highs_model_rejection_is_a_failure(backend):
     # a duplicated matrix entry; scipy's wrappers reported this model infeasible
     A = sp.csr_matrix((np.ones(2), np.zeros(2, dtype=np.int32), np.array([0, 2])), shape=(1, 1))
     lp = LinearProgram(1, [1.0], A, [1.0], [2.0], [0.0], [5.0])
+    assert lp.A.nnz == 2  # kept as given
     with pytest.raises(SolverFailure):
         solve_with_backend(lp, backend)
 
@@ -469,7 +514,7 @@ def linprog_highs(lp):
     from scipy.optimize import linprog
 
     bounds = np.column_stack([lp.var_lower, lp.var_upper])
-    return linprog(lp.cost, A_ub=lp.matrix(), b_ub=lp.row_upper, bounds=bounds, method="highs")
+    return linprog(lp.cost, A_ub=scipy_csr(lp.A), b_ub=lp.row_upper, bounds=bounds, method="highs")
 
 
 # In a test session scipy.optimize is loaded by the drift tests above, so
@@ -488,17 +533,42 @@ print(" ".join(x.tobytes().hex() for x in xs))
 """
 
 
-def test_highs_bindings_load_without_scipy_optimize():
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports gridstore and these tests' modules."""
     path = [str(Path(lpmod.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
     path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     run = subprocess.run(
-        [sys.executable, "-c", DIRECT_LOAD], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
+    return run
+
+
+def test_highs_bindings_load_without_scipy_optimize():
+    run = run_fresh(DIRECT_LOAD)
     lp = dense_lp()
     in_process = [solve_highs(lp).x, solve_highs_ipm(lp).x, linprog_highs(lp).x]
     assert run.stdout.split() == [x.tobytes().hex() for x in in_process]
+
+
+PLACE_WITHOUT_SCIPY_SPARSE = """
+import sys
+from gridstore.config import load_run_config
+from gridstore.runners import run_place
+
+case, out = sys.argv[1:]
+for solver in ("highs", "highs-ipm"):
+    for jobs in (1, 2):
+        overrides = {"solver": solver, "jobs": jobs, "out_dir": f"{out}/{solver}-{jobs}"}
+        run_place(load_run_config(case, overrides))
+print([m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules])
+"""
+
+
+def test_highs_placements_import_neither_scipy_sparse_nor_optimize(tmp_path):
+    run = run_fresh(PLACE_WITHOUT_SCIPY_SPARSE, str(CASES / "quickstart_place.json"), str(tmp_path))
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_ipm_residual_rule_on_doctored_solution():
@@ -575,7 +645,7 @@ def test_max_violation_is_the_row_residual_of_x(backend):
             continue
         solved += 1
         assert np.all((lp.var_lower <= sol.x) & (sol.x <= lp.var_upper))
-        act = lp.A @ sol.x
+        act = scipy_csr(lp.A) @ sol.x
         rows = np.concatenate([[0.0], lp.row_lower - act, act - lp.row_upper])
         assert sol.max_violation == rows.max()
     assert solved >= 10

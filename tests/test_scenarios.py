@@ -166,6 +166,17 @@ def test_csv_duplicate_entry_rejected(tmp_path):
         load_scenarios_csv(path, small_net(), DT)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_rejected(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        f"scenario,step,kind,target_id,value_mw\na,0,load,0,1.0\na,1,interchange,0,{value}\n"
+    )
+    want = rf"bad\.csv:3: interchange value must be finite, got {value}"
+    with pytest.raises(ParseError, match=want):
+        load_scenarios_csv(path, small_net(), DT)
+
+
 def test_csv_bad_header_rejected(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("foo,bar\n1,2\n")
