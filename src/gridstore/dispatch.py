@@ -379,7 +379,6 @@ def retarget_dispatch_lp(
 
 
 def decode_solution(
-    network: Network,
     scenario: Scenario,
     config: DispatchConfig,
     idx: DispatchIndex,
@@ -463,7 +462,7 @@ def solve_dispatch_lp(
         raise SolverFailure(
             f"scenario {label} ({backend}): dispatch LP ended with status {sol.status.value}"
         )
-    return decode_solution(network, scenario, config, idx, sol)
+    return decode_solution(scenario, config, idx, sol)
 
 
 def verify_dispatch(

@@ -37,19 +37,17 @@ scipy's summation order, so every model HiGHS receives and every residual
 is byte-identical to the ones built through ``scipy.sparse``.  Only the
 in-repo simplex, which factors bases, imports ``scipy.sparse``.
 
-A scenario sweep solves programs that share one ``A``, ``cost`` and
-``var_lower`` and differ only in their row bounds and variable upper bounds
-(:func:`gridstore.dispatch.retarget_dispatch_lp`).  So the HiGHS adapter
-converts a program's matrix, costs and lower bounds into a HiGHS model once
-and keeps the last model each method built; a program holding the same
-``A`` object, with every shared array equal to the copy taken at build time
-(an edit in place is seen), reuses it, and each solve sets only the row
-bounds and variable upper bounds.  Dual simplex also keeps one HiGHS object
-per model, which ``passModel`` resets to a cold start.  Interior point takes
-a fresh HiGHS object per LP: a reused one keeps about 10 MB of IPM
+The HiGHS adapter keeps no model between solves.  Each LP goes to HiGHS in
+one ``passModel`` call that takes the counts and the program's own numpy
+arrays: 25-39 us on a quickstart LP (219 x 81, 928 nonzeros), where
+filling the bindings' LP object copies the matrix item by item and takes
+170 us (best of 5 x 200 calls, 2-core Xeon).  Dual simplex reuses one
+HiGHS object per process, which ``passModel`` resets to a cold start; a new
+object with its options would add 61-91 us to every LP.  Interior point
+takes a fresh HiGHS object per LP: a reused one keeps about 10 MB of IPM
 workspace that neither ``clearSolver`` nor ``clearModel`` releases (peak
 RSS over the 15 ``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).
-Every answer is bit-identical to a solve on a fresh model and object.
+Every answer is bit-identical to a solve on a fresh object.
 
 Every solver answers a program without variables the same way and reports
 an infeasible, unbounded or iteration-limited instance as a status, not as
@@ -210,6 +208,9 @@ class LinearProgram:
             raise ValidationError("cost entries must be finite")
         if self.row_lower.shape != self.row_upper.shape:
             raise ValidationError("row bound arrays disagree")
+        # the HiGHS bindings read every array by the counts they are given, not its length
+        if self.var_lower.shape != (self.n_vars,) or self.var_upper.shape != (self.n_vars,):
+            raise ValidationError("variable bound vector length mismatch")
         for name in ("row_lower", "row_upper", "var_lower", "var_upper"):
             if np.isnan(getattr(self, name)).any():
                 raise ValidationError(f"{name} has NaN entries")
@@ -221,6 +222,10 @@ class LinearProgram:
             raise ValidationError(
                 f"constraint matrix is {self.A.shape}, expected {(self.n_rows, self.n_vars)}"
             )
+        if self.A.indptr.shape != (self.n_rows + 1,):
+            raise ValidationError(f"constraint matrix indptr needs {self.n_rows + 1} entries")
+        if not len(self.A.indices) == len(self.A.data) == self.A.nnz:
+            raise ValidationError("constraint matrix indices and values disagree with its indptr")
         if not np.all(np.isfinite(self.A.data)):
             raise ValidationError("constraint matrix has non-finite coefficients")
 
@@ -638,8 +643,14 @@ class _IpmRows:
         return row_lower, row_upper
 
 
+@functools.cache
 def _highs_solver(ipm: bool, name: str):
-    """A new HiGHS object with the method's options."""
+    """A HiGHS object with the method's options, made once per method.
+
+    Dual simplex reuses this one object for every LP; interior point takes
+    a fresh one per LP from ``_highs_solver.__wrapped__`` (see the module
+    docstring).
+    """
     h = _highs()
     highs = h._Highs()
     if highs.passOptions(_highs_options(ipm)) == h.HighsStatus.kError:
@@ -647,77 +658,36 @@ def _highs_solver(ipm: bool, name: str):
     return highs
 
 
-class _HighsModel:
-    """A program's matrix, costs and variable lower bounds, converted for HiGHS once.
-
-    Each solve sets only the row bounds and the variable upper bounds.  With
-    ``rows`` (interior point) the matrix is ``rows``' split of ``A``.  Dual
-    simplex keeps one solver object for the model; interior point takes a
-    fresh one per solve (see the module docstring).
-    """
-
-    def __init__(self, lp: LinearProgram, rows: _IpmRows | None):
-        h = _highs()
-        self.A = lp.A
-        self.options = _highs_options(rows is not None)
-        self.contents = tuple(a.copy() for a in self._contents(lp, rows))
-        A = lp.A if rows is None else rows.matrix(lp)
-        model = self.model = h.HighsLp()
-        model.num_col_ = lp.n_vars
-        model.num_row_ = A.shape[0]
-        model.col_cost_ = lp.cost
-        model.col_lower_ = lp.var_lower
-        matrix = model.a_matrix_
-        matrix.format_ = h.MatrixFormat.kRowwise
-        matrix.num_col_ = lp.n_vars
-        matrix.num_row_ = A.shape[0]
-        matrix.start_ = A.indptr
-        matrix.index_ = A.indices
-        matrix.value_ = A.data
-        self.highs = _highs_solver(False, "HiGHS") if rows is None else None
-
-    @staticmethod
-    def _contents(lp: LinearProgram, rows: _IpmRows | None) -> tuple[np.ndarray, ...]:
-        A = lp.A
-        blocks = () if rows is None else rows.blocks
-        return (A.indptr, A.indices, A.data, lp.cost, lp.var_lower, *blocks)
-
-    def fits(self, lp: LinearProgram, rows: _IpmRows | None) -> bool:
-        """Whether ``lp`` is this model's program, with contents unchanged since it was built."""
-        return (
-            lp.A is self.A
-            and self.options is _highs_options(rows is not None)
-            and all(map(np.array_equal, self._contents(lp, rows), self.contents))
-        )
-
-
-# the last model each HiGHS method built, by ipm flag; a sweep's programs share it
-_MODELS: dict[bool, _HighsModel] = {}
-
-
 def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
     """Solve ``lp`` with HiGHS dual simplex, as ``milp`` runs it, or interior point.
 
-    Interior point runs on :class:`_IpmRows`' split, as ``linprog`` runs it,
-    so that its ``x`` is bit-identical to linprog's.
+    The program goes to HiGHS in one ``passModel`` call on its own arrays,
+    whose lengths :meth:`LinearProgram.validate` has checked: the bindings
+    read the counts they are given and check no length.  Interior point
+    runs on :class:`_IpmRows`' split, built per solve, as ``linprog`` runs
+    it, so that its ``x`` is bit-identical to linprog's.
     """
     lp.validate()
     if lp.n_vars == 0:
         return _empty_program(lp)
     h = _highs()
     name = "HiGHS IPM" if ipm else "HiGHS"
-    rows = _IpmRows(lp) if ipm else None
-    prepared = _MODELS.get(ipm)
-    if prepared is None or not prepared.fits(lp, rows):
-        prepared = _MODELS[ipm] = _HighsModel(lp, rows)
-    row_lower, row_upper = rows.bounds(lp) if ipm else (lp.row_lower, lp.row_upper)
-    model = prepared.model
-    model.row_lower_ = row_lower
-    model.row_upper_ = row_upper
-    model.col_upper_ = lp.var_upper
-
-    highs = prepared.highs if prepared.highs is not None else _highs_solver(ipm, name)
-    if highs.passModel(model) == h.HighsStatus.kError:
+    if ipm:
+        rows = _IpmRows(lp)
+        A = rows.matrix(lp)
+        row_lower, row_upper = rows.bounds(lp)
+        highs = _highs_solver.__wrapped__(True, name)
+    else:
+        A, row_lower, row_upper = lp.A, lp.row_lower, lp.row_upper
+        highs = _highs_solver(False, name)
+    passed = highs.passModel(
+        lp.n_vars, A.shape[0], A.nnz,
+        int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMinimize), 0.0,  # ints: no enum is taken
+        lp.cost, lp.var_lower, lp.var_upper, row_lower, row_upper,
+        A.indptr, A.indices, A.data,
+        np.zeros(lp.n_vars, np.int32),  # integrality: every column continuous
+    )
+    if passed == h.HighsStatus.kError:
         raise SolverFailure(f"{name} rejected the model")
     if highs.run() == h.HighsStatus.kError:
         raise SolverFailure(f"{name} failed with model status {highs.getModelStatus().name}")

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -229,6 +230,34 @@ def test_every_backend_rejects_a_nan_bound(backend, bound):
         solve_with_backend(lp, backend)
 
 
+def two_row_program(indptr, indices, data):
+    """Two rows over two variables, on a matrix given by its raw CSR arrays."""
+    A = CsrMatrix(np.array(indptr), np.array(indices, np.int32), np.array(data), (2, 2))
+    return LinearProgram(2, [1.0, 1.0], A, [1.0, 1.0], [2.0, 2.0], [0.0, 0.0], [5.0, 5.0])
+
+
+MALFORMED = {
+    "short_var_upper": lambda: LinearProgram(
+        n_vars=2, cost=[1.0, -1.0], var_lower=[0.0, 0.0], var_upper=[1.0]
+    ),
+    "long_var_lower": lambda: LinearProgram(
+        n_vars=2, cost=[1.0, -1.0], var_lower=[0.0, 0.0, 0.0], var_upper=[1.0, 1.0]
+    ),
+    "short_indptr": lambda: two_row_program([0, 1], [0], [1.0]),
+    "long_indptr": lambda: two_row_program([0, 1, 2, 2], [0, 1], [1.0, 1.0]),
+    "short_indices": lambda: two_row_program([0, 1, 2], [0], [1.0, 1.0]),
+    "short_data": lambda: two_row_program([0, 1, 2], [0, 1], [1.0]),
+    "long_data": lambda: two_row_program([0, 1, 2], [0, 1], [1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(lpmod.BACKENDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_every_backend_rejects_a_length_it_would_misread(backend, case):
+    with pytest.raises(ValidationError):
+        solve_with_backend(MALFORMED[case](), backend)
+
+
 MATRIX = np.array([[0.0, 1.5, -2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
 MATRIX_FORMS = {
     "list": MATRIX.tolist(),
@@ -360,7 +389,7 @@ def test_highs_backends_match_scipy_wrappers_on_random_lps():
 
 
 def copy_program(lp):
-    """The same program in new arrays: the HiGHS adapter builds it a fresh model."""
+    """The same program in new arrays, sharing none with ``lp``."""
     return LinearProgram(
         lp.n_vars,
         lp.cost.copy(),
@@ -377,21 +406,14 @@ def solution_bits(sol):
     return sol.status, x, sol.iterations, sol.objective, sol.max_violation
 
 
-def count_model_builds(monkeypatch) -> list:
-    """Make the HiGHS adapter note each model it builds in the returned list."""
-    builds = []
-
-    class Counted(lpmod._HighsModel):
-        def __init__(self, lp, rows):
-            builds.append(lp)
-            super().__init__(lp, rows)
-
-    monkeypatch.setattr(lpmod, "_HighsModel", Counted)
-    return builds
+def on_a_new_object(monkeypatch, solve_fn, lp):
+    """``solve_fn(lp)`` on a HiGHS object that has solved nothing before."""
+    with monkeypatch.context() as m:
+        m.setattr(lpmod, "_highs_solver", functools.cache(lpmod._highs_solver.__wrapped__))
+        return solve_fn(lp)
 
 
 def test_highs_backends_match_scipy_wrappers_on_a_placement(tmp_path, monkeypatch):
-    builds = count_model_builds(monkeypatch)
     for backend in ("highs", "highs-ipm"):
         seen = []
         solve_fn = lpmod.BACKENDS[backend]
@@ -403,19 +425,17 @@ def test_highs_backends_match_scipy_wrappers_on_a_placement(tmp_path, monkeypatc
             return sol
 
         monkeypatch.setitem(lpmod.BACKENDS, backend, record)
-        builds.clear()
         cfg = load_run_config(
             CASES / "quickstart_place.json",
             {"jobs": 1, "solver": backend, "out_dir": str(tmp_path / backend)},
         )
         run_place(cfg)
         assert len(seen) > 50
-        assert len(builds) < len(seen) / 5  # a sweep's programs share one model
         for lp, sol in seen:
             # every LP has ranged rows, which the IPM backend splits in two
             ranged = np.isfinite(lp.row_lower) & np.isfinite(lp.row_upper) & (lp.row_lower < lp.row_upper)
             assert ranged.any()
-            assert solution_bits(solve_fn(lp)) == solution_bits(sol)
+            assert solution_bits(on_a_new_object(monkeypatch, solve_fn, lp)) == solution_bits(sol)
             assert_matches_scipy_wrappers(lp)
 
 
@@ -440,13 +460,11 @@ def surplus_sweep():
 def test_highs_model_reuse_equals_fresh_solves(backend, monkeypatch):
     progs = surplus_sweep()
     assert len({p.var_upper.tobytes() for p in progs}) == len(progs) - 1  # short shares s0's caps
-    builds = count_model_builds(monkeypatch)
     swept = [solve_with_backend(prog, backend) for prog in progs]
-    assert len(builds) == 1
     assert [sol.status for sol in swept] == [Status.OPTIMAL] * 2 + [Status.INFEASIBLE] + [Status.OPTIMAL] * 3
     assert all(sol.x[sol.x > 0].size for sol in swept if sol.x is not None)
-    fresh = [solve_with_backend(copy_program(prog), backend) for prog in progs]
-    assert len(builds) == 1 + len(progs)
+    solve_fn = lpmod.BACKENDS[backend]
+    fresh = [on_a_new_object(monkeypatch, solve_fn, copy_program(prog)) for prog in progs]
     assert [solution_bits(s) for s in swept] == [solution_bits(s) for s in fresh]
 
 
@@ -462,6 +480,37 @@ def test_highs_model_follows_an_edit_in_place(backend, edit):
     after = solve_with_backend(lp, backend)
     assert not np.array_equal(after.x, before.x)
     assert solution_bits(after) == solution_bits(solve_with_backend(copy_program(lp), backend))
+
+
+def test_shared_dual_simplex_object_answers_as_a_new_one(monkeypatch):
+    """Programs of every shape and outcome, unsolved ones first, on one HiGHS object."""
+    no_limit = lpmod._highs_options(False).simplex_iteration_limit
+
+    def solve_on(highs, lp, limit):
+        highs.setOptionValue("simplex_iteration_limit", limit)
+        with monkeypatch.context() as m:
+            m.setattr(lpmod, "_highs_solver", lambda ipm, name: highs)
+            return solve_highs(lp)
+
+    new_object = functools.partial(lpmod._highs_solver.__wrapped__, False, "HiGHS")
+    shared = new_object()
+    rng = np.random.default_rng(5)
+    sweep = surplus_sweep()
+    cases = [
+        (lp_conflicting_rows(), no_limit, Status.INFEASIBLE),
+        (dense_lp(), 0, Status.ITERATION_LIMIT),
+        (lp_min_x_in_box(), no_limit, Status.OPTIMAL),  # no rows
+        (dense_lp(), no_limit, Status.OPTIMAL),
+        (sweep[2], no_limit, Status.INFEASIBLE),
+        (sweep[0], no_limit, Status.OPTIMAL),
+        (lp_min_x_in_box(), no_limit, Status.OPTIMAL),
+        (sweep[1], no_limit, Status.OPTIMAL),
+    ]
+    cases += [(random_bounded_lp(rng), no_limit, None) for _ in range(10)]
+    for lp, limit, status in cases:
+        got = solve_on(shared, lp, limit)
+        assert status is None or got.status is status
+        assert solution_bits(got) == solution_bits(solve_on(new_object(), lp, limit))
 
 
 def test_highs_status_table_matches_scipy():
@@ -482,6 +531,8 @@ def test_highs_limit_is_a_status(monkeypatch, limit):
     options.log_to_console = False
     setattr(options, limit, 0)
     monkeypatch.setattr(lpmod, "_highs_options", lambda ipm: options)
+    # a new dual simplex object, made with these options
+    monkeypatch.setattr(lpmod, "_highs_solver", functools.cache(lpmod._highs_solver.__wrapped__))
     sol = solve_highs(dense_lp())
     assert sol.status is Status.ITERATION_LIMIT and sol.x is None
 
@@ -627,9 +678,9 @@ def first_nan(x):
 def test_highs_rejects_a_doctored_optimal_x(backend, doctor, monkeypatch):
     lp = surplus_sweep()[0]  # balance rows are equalities, so any move of x misses one
     assert solve_with_backend(lp, backend).status is Status.OPTIMAL
-    make = lpmod._highs_solver
-    monkeypatch.setattr(lpmod, "_highs_solver", lambda *a: DoctoredHighs(make(*a), doctor))
-    monkeypatch.setattr(lpmod, "_MODELS", {})
+    make = lpmod._highs_solver.__wrapped__
+    doctored = functools.cache(lambda ipm, name: DoctoredHighs(make(ipm, name), doctor))
+    monkeypatch.setattr(lpmod, "_highs_solver", doctored)
     with pytest.raises(SolverFailure, match="HiGHS"):
         solve_with_backend(lp, backend)
 
