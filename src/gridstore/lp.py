@@ -28,14 +28,16 @@ way, so no LP's answer moves; the benchmark's set-up time, from importing
 gridstore through its first solve, fell from 0.78 s to 0.44 s
 (``rts_greedy``, medians of 10 runs on a 2-core Xeon).
 
-For the same reason no HiGHS path imports ``scipy.sparse``: 0.19-0.23 s
+For the same reason gridstore does not import ``scipy.sparse``: 0.19-0.23 s
 and 20 MB, about half of it ``scipy._lib.array_api_compat`` loading
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, only to hold three
 arrays.  :class:`CsrMatrix` holds them with the index dtype scipy picks,
 builds from triplets in scipy's entry order, and multiplies a vector in
 scipy's summation order, so every model HiGHS receives and every residual
-is byte-identical to the ones built through ``scipy.sparse``.  Only the
-in-repo simplex, which factors bases, imports ``scipy.sparse``.
+is byte-identical to the ones built through ``scipy.sparse``.  The in-repo
+simplex keeps its tableau in one as well, stored by column: the arrays of
+scipy's CSC matrix, so its prices, basic values and basis matrices are
+scipy's bit for bit too.
 
 The HiGHS adapter keeps no model between solves.  Each LP goes to HiGHS in
 one ``passModel`` call that takes the counts and the program's own numpy
@@ -146,6 +148,15 @@ class CsrMatrix:
         products = self.data * np.asarray(x)[self.indices]
         return np.bincount(self._entry_rows(), weights=products, minlength=self.shape[0])
 
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """``A.T @ x`` for a vector ``x``: scipy's product for the CSC matrix ``A.T``.
+
+        ``bincount`` adds each product into its column's zero in entry order,
+        as scipy's ``csc_matvec`` does, so the result is scipy's bit for bit.
+        """
+        products = self.data * np.repeat(np.asarray(x), np.diff(self.indptr))
+        return np.bincount(self.indices, weights=products, minlength=self.shape[1])
+
     def take_rows(self, rows: np.ndarray) -> CsrMatrix:
         """The rows numbered ``rows``, in that order, as new arrays: scipy's ``A[rows]``."""
         start, stop = self.indptr[rows], self.indptr[rows + 1]
@@ -224,8 +235,12 @@ class LinearProgram:
             )
         if self.A.indptr.shape != (self.n_rows + 1,):
             raise ValidationError(f"constraint matrix indptr needs {self.n_rows + 1} entries")
+        if self.A.indptr[0] != 0 or (self.A.indptr[1:] < self.A.indptr[:-1]).any():
+            raise ValidationError("constraint matrix indptr must start at 0 and never decrease")
         if not len(self.A.indices) == len(self.A.data) == self.A.nnz:
             raise ValidationError("constraint matrix indices and values disagree with its indptr")
+        if self.A.nnz and not 0 <= self.A.indices.min() <= self.A.indices.max() < self.n_vars:
+            raise ValidationError(f"constraint matrix has a column index outside [0, {self.n_vars})")
         if not np.all(np.isfinite(self.A.data)):
             raise ValidationError("constraint matrix has non-finite coefficients")
 
@@ -297,16 +312,9 @@ _BASIC = 3
 
 class _Tableau:
     def __init__(self, lp: LinearProgram, feas_tol: float):
-        import scipy.sparse as sp  # the one user of scipy.sparse; see the module docstring
-
         m = lp.n_rows
         n = lp.n_vars
         self.m = m
-
-        A = sp.csr_matrix((lp.A.data, lp.A.indices, lp.A.indptr), shape=lp.A.shape)
-        self.lower = np.concatenate([lp.var_lower, lp.row_lower])
-        self.upper = np.concatenate([lp.var_upper, lp.row_upper])
-        self.cost = np.concatenate([lp.cost, np.zeros(m)])
 
         # initial nonbasic point: finite bound nearest zero, else zero
         lo, hi = lp.var_lower, lp.var_upper
@@ -315,25 +323,25 @@ class _Tableau:
         x0 = np.where(take_lower, lo, np.where(hi_fin, hi, 0.0))
         x0 = np.where(lo_fin | hi_fin, x0, 0.0)
 
-        act = A @ x0 if m else np.zeros(0)
+        act = lp.A @ x0
         s0 = np.clip(act, lp.row_lower, lp.row_upper)
         resid = act - s0  # nonzero where the start violates logical bounds
         art_rows = np.flatnonzero(np.abs(resid) > feas_tol)
         n_art = len(art_rows)
 
-        self.n_struct = n
         self.n_total = n + m + n_art
-        blocks = [A, -sp.identity(m, format="csc")]
-        if n_art:
-            # coefficient opposes the residual so the artificial starts at |resid|
-            art = sp.csc_matrix(
-                (-np.sign(resid[art_rows]), (art_rows, np.arange(n_art))), shape=(m, n_art)
-            )
-            blocks.append(art)
-            self.lower = np.concatenate([self.lower, np.zeros(n_art)])
-            self.upper = np.concatenate([self.upper, np.full(n_art, INF)])
-            self.cost = np.concatenate([self.cost, np.zeros(n_art)])
-        self.A = sp.hstack(blocks, format="csc") if m else sp.csc_matrix((0, self.n_total))
+        self.lower = np.concatenate([lp.var_lower, lp.row_lower, np.zeros(n_art)])
+        self.upper = np.concatenate([lp.var_upper, lp.row_upper, np.full(n_art, INF)])
+        self.cost = np.concatenate([lp.cost, np.zeros(m + n_art)])
+        # [A, -I, artificials] stored by column: row j of self.A is column j.
+        # An artificial's coefficient opposes its row's residual, so it starts at |resid|.
+        rows = np.arange(m)
+        self.A = CsrMatrix.from_coo(
+            np.concatenate([lp.A.indices, n + rows, n + m + np.arange(n_art)]),
+            np.concatenate([lp.A._entry_rows(), rows, art_rows]),
+            np.concatenate([lp.A.data, np.full(m, -1.0), -np.sign(resid[art_rows])]),
+            (self.n_total, m),
+        )
         self.art_cols = np.arange(n + m, self.n_total)
 
         self.state = np.empty(self.n_total, dtype=np.int8)
@@ -363,19 +371,15 @@ class _Tableau:
     # -- basis linear algebra --------------------------------------------
 
     def refactor(self) -> None:
-        if self.m == 0:
-            return
-        B = self.A[:, self.basis].toarray()
+        B = self.A.take_rows(self.basis).toarray().T
         try:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure("singular basis during refactorization") from exc
 
     def recompute_basic_values(self) -> None:
-        if self.m == 0:
-            return
         xn = np.where(self.state == _BASIC, 0.0, self.values)
-        self.values[self.basis] = self.binv @ -(self.A @ xn)
+        self.values[self.basis] = self.binv @ -self.A.rmatvec(xn)
 
     def column(self, j: int) -> np.ndarray:
         out = np.zeros(self.m)
@@ -386,11 +390,7 @@ class _Tableau:
     # -- pivoting ----------------------------------------------------------
 
     def entering(self, cost: np.ndarray, tol: float, bland: bool):
-        if self.m:
-            y = cost[self.basis] @ self.binv
-            rc = cost - (self.A.T @ y)
-        else:
-            rc = cost.copy()
+        rc = cost - self.A @ (cost[self.basis] @ self.binv)
         movable = (self.upper - self.lower) > 0
         st = self.state
         up_ok = ((st == _AT_LOWER) | (st == _FREE_AT_ZERO)) & (rc < -tol) & movable
@@ -409,7 +409,7 @@ class _Tableau:
 
         Returns (step, row, to_upper, d) or None for an unbounded ray.
         """
-        d = self.binv @ self.column(j) if self.m else np.zeros(0)
+        d = self.binv @ self.column(j)
         # basic response to a unit move of x_j: dx_B = -direction * d
         rate = -direction * d
         vals = self.values[self.basis]
@@ -422,7 +422,7 @@ class _Tableau:
         steps = np.maximum(steps, 0.0)
 
         flip = self.upper[j] - self.lower[j]  # may be inf
-        row_min = float(steps.min()) if self.m else INF
+        row_min = float(steps.min(initial=INF))
         if row_min >= INF and flip >= INF:
             return None  # unbounded ray
         if flip < row_min - 1e-12:
@@ -436,7 +436,7 @@ class _Tableau:
         return row_min, r, bool(rate[r] > 0), d
 
     def pivot(self, j: int, direction: int, step: float, row, to_upper: bool, d: np.ndarray):
-        if step != 0.0 and self.m:
+        if step != 0.0:
             self.values[self.basis] -= step * direction * d
         self.values[j] = self.values[j] + step * direction
         if row is None:

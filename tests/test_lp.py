@@ -248,6 +248,10 @@ MALFORMED = {
     "short_indices": lambda: two_row_program([0, 1, 2], [0], [1.0, 1.0]),
     "short_data": lambda: two_row_program([0, 1, 2], [0, 1], [1.0]),
     "long_data": lambda: two_row_program([0, 1, 2], [0, 1], [1.0, 1.0, 1.0]),
+    "indptr_not_from_zero": lambda: two_row_program([1, 1, 2], [0, 1], [1.0, 1.0]),
+    "decreasing_indptr": lambda: two_row_program([0, 2, 1], [0], [1.0]),
+    "column_index_past_the_end": lambda: two_row_program([0, 1, 2], [0, 5], [1.0, 1.0]),
+    "negative_column_index": lambda: two_row_program([0, 1, 2], [-1, 1], [1.0, 1.0]),
 }
 
 
@@ -285,6 +289,34 @@ def test_program_takes_dense_and_scipy_matrices_as_scipy_did(form):
         assert LinearProgram(3, np.ones(3), lp.A).A is lp.A
     sols = [solve_with_backend(lp, backend) for backend in sorted(lpmod.BACKENDS)]
     assert all(sol.status is Status.OPTIMAL for sol in sols)
+
+
+@pytest.mark.parametrize("source", ["random", "dispatch"])
+def test_simplex_tableau_is_scipy_csc_bit_for_bit(source):
+    """The tableau's by-column CsrMatrix holds and multiplies as scipy's CSC ``[A, -I, art]`` did."""
+    rng = np.random.default_rng(31)
+    progs = [random_bounded_lp(rng) for _ in range(40)] if source == "random" else surplus_sweep()
+    n_art = 0
+    for lp in progs:
+        tab = lpmod._Tableau(lp, lpmod.DEFAULT_FEAS_TOL)
+        A, m = scipy_csr(lp.A), lp.n_rows
+        act = A @ tab.values[: lp.n_vars]  # the start, before any pivot
+        resid = act - np.clip(act, lp.row_lower, lp.row_upper)
+        art_rows = np.flatnonzero(np.abs(resid) > lpmod.DEFAULT_FEAS_TOL)
+        n_art += len(art_rows)
+        art_cols = np.arange(len(art_rows))
+        art = sp.csc_matrix((-np.sign(resid[art_rows]), (art_rows, art_cols)), (m, len(art_rows)))
+        want = sp.hstack([A, -sp.identity(m, format="csc"), art], format="csc")
+        assert tab.A.shape == want.shape[::-1]
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(tab.A, name), getattr(want, name)
+            assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+        x, y = rng.normal(size=tab.n_total), rng.normal(size=m)
+        assert tab.A.rmatvec(x).tobytes() == (want @ x).tobytes()
+        assert (tab.A @ y).tobytes() == (want.T @ y).tobytes()
+        basis = tab.A.take_rows(tab.basis).toarray().T
+        assert basis.tobytes() == want[:, tab.basis].toarray().tobytes()
+    assert n_art > 0
 
 
 # -- external backend --------------------------------------------------------
@@ -609,7 +641,7 @@ from gridstore.config import load_run_config
 from gridstore.runners import run_place
 
 case, out = sys.argv[1:]
-for solver in ("highs", "highs-ipm"):
+for solver in ("simplex", "highs", "highs-ipm"):
     for jobs in (1, 2):
         overrides = {"solver": solver, "jobs": jobs, "out_dir": f"{out}/{solver}-{jobs}"}
         run_place(load_run_config(case, overrides))
@@ -617,7 +649,7 @@ print([m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules])
 """
 
 
-def test_highs_placements_import_neither_scipy_sparse_nor_optimize(tmp_path):
+def test_placements_import_neither_scipy_sparse_nor_optimize(tmp_path):
     run = run_fresh(PLACE_WITHOUT_SCIPY_SPARSE, str(CASES / "quickstart_place.json"), str(tmp_path))
     assert run.stdout.splitlines()[-1] == "[]"
 
