@@ -32,13 +32,7 @@ from .fileio import load_network_document, write_network_document
 from .lp import BACKENDS
 from .matpower import DEFAULT_DT_HOURS, add_renewable_sites, import_matpower_document
 from .reporting import emit_report
-from .runners import (
-    build_scenarios,
-    run_dispatch_debug,
-    run_place,
-    run_sweep,
-    write_error_record,
-)
+from .runners import build_scenarios, run_dispatch_debug, run_place, run_sweep
 from .scenarios import write_scenarios_csv
 
 EXIT_OK = 0
@@ -127,13 +121,22 @@ def _overrides(args) -> dict:
 
 @contextlib.contextmanager
 def _error_record(out_dir):
-    """Write ``error.json`` to ``out_dir`` for a failure with an exit code, then re-raise."""
+    """Write ``error.json`` to ``out_dir`` for a failure with an exit code, then re-raise.
+
+    The record is best effort: a directory that cannot be written is logged.
+    """
     try:
         yield
     except Exception as exc:
         code = _classify(exc)
         if code is not None:
-            write_error_record(out_dir, exc, code)
+            record = {"error_type": type(exc).__name__, "message": str(exc), "exit_code": code}
+            try:
+                out = Path(out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")
+            except OSError:
+                logger.warning("could not write error record to %s", out_dir)
         raise
 
 

@@ -1,7 +1,9 @@
 """Run configuration: JSON file, environment overrides, CLI overrides.
 
 Precedence, lowest to highest: config file, GRIDSTORE_* environment
-variables, command-line flags.
+variables, command-line flags.  Relative paths in the file are relative to
+its folder; a relative ``--out`` or ``GRIDSTORE_OUT`` is relative to the
+working directory.
 
 Every field is read once, here, through :func:`fileio.json_value`: a value
 of the wrong JSON type is a ValidationError naming the file and the field,
@@ -109,8 +111,9 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     merged = read_json(path)
     _check_keys(merged, TOP_LEVEL_KEYS, "", path)
-    merged.update(_env_overrides())
-    merged.update({k: v for k, v in (cli_overrides or {}).items() if v is not None})
+    overrides = _env_overrides()
+    overrides.update({k: v for k, v in (cli_overrides or {}).items() if v is not None})
+    merged.update(overrides)
 
     if "network" not in merged:
         raise ValidationError(f"{path}: config is missing 'network'")
@@ -181,7 +184,9 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     jobs = json_value(merged.get("jobs", 1), "int", "jobs", path)
     if jobs < 1:
         raise ValidationError(f"{path}: jobs must be >= 1")
-    out_dir = json_value(merged.get("out_dir", "gridstore-out"), "str", "out_dir", path)
+    out_dir = Path(json_value(merged.get("out_dir", "gridstore-out"), "str", "out_dir", path))
+    if "out_dir" not in overrides:
+        out_dir = path.parent / out_dir  # the file's own out_dir is relative to its folder
 
     echo = {
         k: v
@@ -207,7 +212,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
         sweep_levels=levels,
         solver=solver,
         jobs=jobs,
-        out_dir=path.parent / out_dir,
+        out_dir=out_dir,
         seed=seed,
         raw=echo,
     )

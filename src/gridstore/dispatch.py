@@ -17,10 +17,10 @@ it shares units with the capacity cost terms.
 
 For a fixed network, storage node set and step grid the LP differs between
 scenarios only in the nodal-balance right-hand side and, with curtailment,
-the curtailment upper bounds.  A sweep therefore assembles it once with
-:func:`build_dispatch_lp` and re-targets that program at each further
-scenario with :func:`retarget_dispatch_lp`; :func:`solve_dispatch_lp` then
-solves and decodes either one.
+the curtailment upper bounds.  A :class:`Dispatcher` therefore assembles it
+with :func:`build_dispatch_lp` on its first scenario, re-targets that
+program at each later one with :func:`retarget_dispatch_lp`, and solves and
+decodes each; :func:`lookahead_dispatch` is a Dispatcher's single call.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ class DispatchIndex:
     ``storage``, the sorted node list.  ``balance`` holds the (T, n_buses)
     row numbers of the nodal balance, set by :func:`build_dispatch_lp`;
     ``T`` and ``dt_hours`` are the step grid the LP was built for.
-    ``line_from``, ``line_to`` and ``reactance`` (per line) and ``gen_rate``
-    (per generator, $/MWh) are the network data :func:`decode_solution`
-    reads.
+    ``site_bus`` (per renewable site) places each site's output in the
+    balance.  ``line_from``, ``line_to`` and ``reactance`` (per line) and
+    ``gen_rate`` (per generator, $/MWh) are the network data
+    :func:`decode_solution` reads.
     """
 
     balance: np.ndarray
@@ -140,6 +141,7 @@ class DispatchIndex:
         self.n_sites = len(network.renewables)
         self.curtail_on = config.allow_curtailment
         self.non_slack = np.delete(np.arange(self.n_buses), self.slack)
+        self.site_bus = np.array([site.bus for site in network.renewables], dtype=int)
         lines = network.lines
         self.line_from = np.array([ln.from_bus for ln in lines], dtype=int)
         self.line_to = np.array([ln.to_bus for ln in lines], dtype=int)
@@ -160,6 +162,24 @@ class DispatchIndex:
         self.ps_bar = block(K)
         self.s0 = block(K)
         self.curtail = block(T, self.n_sites if self.curtail_on else 0)
+
+    def check(self, scenario: Scenario) -> None:
+        """Raise InconsistentDimensions unless ``scenario`` fits this LP: one
+        load column per bus, one renewable column per site, and its step grid."""
+        if scenario.load.shape[1] != self.n_buses:
+            raise InconsistentDimensions(
+                f"load series covers {scenario.load.shape[1]} buses, network has {self.n_buses}"
+            )
+        if scenario.renewable.shape[1] != self.n_sites:
+            raise InconsistentDimensions(
+                f"renewable series covers {scenario.renewable.shape[1]} sites, "
+                f"network has {self.n_sites}"
+            )
+        if scenario.n_steps != self.T or scenario.dt_hours != self.dt_hours:
+            raise InconsistentDimensions(
+                f"scenario has {scenario.n_steps} steps of {scenario.dt_hours} h, "
+                f"the LP was built for {self.T} of {self.dt_hours} h"
+            )
 
 
 class _Rows:
@@ -221,26 +241,10 @@ class DispatchSolution:
     max_violation: float = 0.0  # the LP's worst residual
 
 
-def _check_shapes(network: Network, scenario: Scenario, config: DispatchConfig) -> None:
-    if scenario.load.shape[1] != network.n_buses:
-        raise InconsistentDimensions(
-            f"load series covers {scenario.load.shape[1]} buses, network has {network.n_buses}"
-        )
-    if scenario.renewable.shape[1] != len(network.renewables):
-        raise InconsistentDimensions(
-            f"renewable series covers {scenario.renewable.shape[1]} sites, "
-            f"network has {len(network.renewables)}"
-        )
-    bad = [b for b in config.storage_nodes if not 0 <= b < network.n_buses]
-    if bad:
-        raise InconsistentDimensions(f"storage nodes {bad} not in network")
-
-
-def _balance_rhs(network: Network, scenario: Scenario) -> np.ndarray:
+def _balance_rhs(idx: DispatchIndex, scenario: Scenario) -> np.ndarray:
     """(T, n_buses) fixed injections: renewables - load + interchange."""
-    site_bus = np.array([site.bus for site in network.renewables], dtype=int)
     rhs = scenario.interchange - scenario.load
-    np.add.at(rhs, (slice(None), site_bus), scenario.renewable)  # site by site, in order
+    np.add.at(rhs, (slice(None), idx.site_bus), scenario.renewable)  # site by site, in order
     return rhs
 
 
@@ -248,15 +252,17 @@ def build_dispatch_lp(
     network: Network, scenario: Scenario, config: DispatchConfig
 ) -> tuple[LinearProgram, DispatchIndex]:
     """Assemble the horizon LP; returns the program and its variable map."""
-    _check_shapes(network, scenario, config)
+    idx = DispatchIndex(network, scenario, config)
+    idx.check(scenario)
+    bad = [b for b in config.storage_nodes if not 0 <= b < network.n_buses]
+    if bad:
+        raise InconsistentDimensions(f"storage nodes {bad} not in network")
     if not check_connected(network):
         raise DisconnectedNetwork("dispatch requires a connected network")
 
-    idx = DispatchIndex(network, scenario, config)
-    T, dt, K = idx.T, scenario.dt_hours, idx.n_store
+    T, dt, K = idx.T, idx.dt_hours, idx.n_store
     gens = network.generators
     gen_bus = np.array([gen.bus for gen in gens], dtype=int)
-    site_bus = np.array([site.bus for site in network.renewables], dtype=int)
 
     cost = np.zeros(idx.n_vars)
     lower = np.full(idx.n_vars, -np.inf)
@@ -275,7 +281,7 @@ def build_dispatch_lp(
     rows = _Rows()
 
     # nodal balance: L theta - pg - ps (+ curtail) = p_r - load + interchange
-    rhs = _balance_rhs(network, scenario)
+    rhs = _balance_rhs(idx, scenario)
     idx.balance = balance = rows.add(rhs, rhs)  # (T, n_buses)
     lap = build_laplacian(network)
     bus, pos = np.nonzero(lap[:, idx.non_slack])
@@ -283,7 +289,7 @@ def build_dispatch_lp(
     rows.set(balance[:, gen_bus], idx.pg, -1.0)
     rows.set(balance[:, idx.storage], idx.ps, -1.0)
     if idx.curtail_on:
-        rows.set(balance[:, site_bus], idx.curtail, 1.0)
+        rows.set(balance[:, idx.site_bus], idx.curtail, 1.0)
 
     # line flow limits: (theta_from - theta_to) / x, slack angle fixed at 0
     limited = [line for line in network.lines if line.flow_limit is not None]
@@ -341,11 +347,7 @@ def build_dispatch_lp(
 
 
 def retarget_dispatch_lp(
-    network: Network,
-    scenario: Scenario,
-    config: DispatchConfig,
-    prog: LinearProgram,
-    idx: DispatchIndex,
+    prog: LinearProgram, idx: DispatchIndex, scenario: Scenario
 ) -> LinearProgram:
     """The LP ``build_dispatch_lp`` returns for ``scenario``, from one built for another.
 
@@ -354,13 +356,8 @@ def retarget_dispatch_lp(
     ``prog`` and gets fresh balance-row bounds, plus fresh curtailment upper
     bounds when curtailment is on; ``prog`` itself is left unchanged.
     """
-    _check_shapes(network, scenario, config)
-    if scenario.n_steps != idx.T or scenario.dt_hours != idx.dt_hours:
-        raise InconsistentDimensions(
-            f"scenario has {scenario.n_steps} steps of {scenario.dt_hours} h, "
-            f"the LP was built for {idx.T} of {idx.dt_hours} h"
-        )
-    rhs = _balance_rhs(network, scenario)
+    idx.check(scenario)
+    rhs = _balance_rhs(idx, scenario)
     row_lower, row_upper = prog.row_lower.copy(), prog.row_upper.copy()
     row_lower[idx.balance] = row_upper[idx.balance] = rhs
     var_upper = prog.var_upper
@@ -379,14 +376,11 @@ def retarget_dispatch_lp(
 
 
 def decode_solution(
-    scenario: Scenario,
-    config: DispatchConfig,
-    idx: DispatchIndex,
-    sol: lpmod.LpSolution,
+    idx: DispatchIndex, config: DispatchConfig, sol: lpmod.LpSolution
 ) -> DispatchSolution:
     x = sol.x
     T = idx.T
-    dt = scenario.dt_hours
+    dt = idx.dt_hours
     pg = x[idx.pg]
     ps = x[idx.ps]
     s0 = x[idx.s0]
@@ -423,46 +417,53 @@ def decode_solution(
     )
 
 
+class Dispatcher:
+    """Dispatches scenarios against one network, storage config and backend.
+
+    Calling it on a scenario returns the decoded :class:`DispatchSolution`.
+    The first call assembles the horizon LP with :func:`build_dispatch_lp`;
+    each later call re-targets that LP at its scenario.  Raises
+    InfeasibleScenario (with the scenario label) when no dispatch satisfies
+    the constraints, SolverFailure (naming the scenario and the backend) on
+    any other non-optimal stop.
+    """
+
+    def __init__(self, network: Network, config: DispatchConfig, backend: str = "highs"):
+        self.network = network
+        self.config = config
+        self.backend = backend
+        self.template: tuple[LinearProgram, DispatchIndex] | None = None
+
+    def __call__(self, scenario: Scenario) -> DispatchSolution:
+        if self.template is None:
+            self.template = build_dispatch_lp(self.network, scenario, self.config)
+            prog, idx = self.template
+        else:
+            template, idx = self.template
+            prog = retarget_dispatch_lp(template, idx, scenario)
+        label = scenario.label or "<unnamed>"
+        try:
+            sol = lpmod.solve_with_backend(prog, self.backend)
+        except SolverFailure as exc:
+            raise SolverFailure(f"scenario {label} ({self.backend}): {exc}") from exc
+        if sol.status is Status.INFEASIBLE:
+            raise InfeasibleScenario(label)
+        if sol.status is not Status.OPTIMAL:
+            raise SolverFailure(
+                f"scenario {label} ({self.backend}): "
+                f"dispatch LP ended with status {sol.status.value}"
+            )
+        return decode_solution(idx, self.config, sol)
+
+
 def lookahead_dispatch(
     network: Network,
     scenario: Scenario,
     config: DispatchConfig,
     backend: str = "highs",
 ) -> DispatchSolution:
-    """Build and solve the horizon LP for one scenario.
-
-    Raises InfeasibleScenario (with the scenario label) when no dispatch
-    satisfies the constraints, SolverFailure (naming the scenario and the
-    backend) on any other non-optimal stop.
-    """
-    prog, idx = build_dispatch_lp(network, scenario, config)
-    return solve_dispatch_lp(network, scenario, config, prog, idx, backend)
-
-
-def solve_dispatch_lp(
-    network: Network,
-    scenario: Scenario,
-    config: DispatchConfig,
-    prog: LinearProgram,
-    idx: DispatchIndex,
-    backend: str = "highs",
-) -> DispatchSolution:
-    """Solve an assembled (or re-targeted) horizon LP and decode the dispatch.
-
-    Raises as :func:`lookahead_dispatch` does.
-    """
-    label = scenario.label or "<unnamed>"
-    try:
-        sol = lpmod.solve_with_backend(prog, backend)
-    except SolverFailure as exc:
-        raise SolverFailure(f"scenario {label} ({backend}): {exc}") from exc
-    if sol.status is Status.INFEASIBLE:
-        raise InfeasibleScenario(label)
-    if sol.status is not Status.OPTIMAL:
-        raise SolverFailure(
-            f"scenario {label} ({backend}): dispatch LP ended with status {sol.status.value}"
-        )
-    return decode_solution(scenario, config, idx, sol)
+    """Build and solve the horizon LP for one scenario; raises as :class:`Dispatcher` does."""
+    return Dispatcher(network, config, backend)(scenario)
 
 
 def verify_dispatch(

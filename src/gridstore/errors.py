@@ -56,6 +56,11 @@ class InfeasibleScenario(GridstoreError):
             msg += f": {detail}"
         super().__init__(msg)
         self.label = label
+        self.detail = detail
+
+    def __reduce__(self):
+        # rebuild through __init__ from the parts, not from the finished message
+        return type(self), (self.label, self.detail), self.__dict__
 
 
 class SolverFailure(GridstoreError):

@@ -21,14 +21,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from .dispatch import (
-    DispatchConfig,
-    DispatchSolution,
-    Scenario,
-    build_dispatch_lp,
-    retarget_dispatch_lp,
-    solve_dispatch_lp,
-)
+from .dispatch import DispatchConfig, Dispatcher, DispatchSolution, Scenario
 from .errors import (
     AllScenariosInfeasible,
     InfeasibleScenario,
@@ -116,47 +109,24 @@ def normalized_energy_capacity(
 # ---------------------------------------------------------------------------
 
 
-def _dispatcher(network: Network, config: DispatchConfig, backend: str):
-    """A function that dispatches one scenario against one storage node set.
-
-    It returns ("ok", solution) or ("infeasible", label).  It assembles the
-    LP on its first scenario and re-targets that LP at each later one.
-    """
-    template = None
-
-    def dispatch(scen: Scenario):
-        nonlocal template
-        if template is None:
-            template = build_dispatch_lp(network, scen, config)
-            prog = template[0]
-        else:
-            prog = retarget_dispatch_lp(network, scen, config, *template)
-        try:
-            return "ok", solve_dispatch_lp(network, scen, config, prog, template[1], backend)
-        except InfeasibleScenario:
-            return "infeasible", scen.label
-
-    return dispatch
+def _outcome(dispatch: Dispatcher, scenario: Scenario) -> DispatchSolution | Exception:
+    """The scenario's solution, or the exception its dispatch raised."""
+    try:
+        return dispatch(scenario)
+    except Exception as exc:
+        return exc
 
 
 def _worker_loop(conn, network, scenarios, config, backend) -> None:
-    """Pool worker: dispatch each scenario index received on ``conn``.
-
-    Replies (i, tag, payload) as the jobs=1 path yields them, or
-    (i, "error", exception) when the dispatch raises.
-    """
-    dispatch = _dispatcher(network, config, backend)
+    """Pool worker: dispatch each scenario index received on ``conn``; reply (i, outcome)."""
+    dispatch = Dispatcher(network, config, backend)
     while True:
         i = conn.recv()
-        try:
-            reply = (i, *dispatch(scenarios[i]))
-        except Exception as exc:
-            reply = (i, "error", exc)
-        conn.send(reply)
+        conn.send((i, _outcome(dispatch, scenarios[i])))
 
 
 def _pool_arrivals(network, scenarios, config, backend, jobs: int, order):
-    """Yield (i, tag, payload) from ``jobs`` workers as their results arrive.
+    """Yield (i, outcome) from ``jobs`` workers as their results arrive.
 
     Each worker has its own pipe and one scenario index in flight, and no
     lock is shared between processes, so a worker can be killed at any
@@ -180,20 +150,18 @@ def _pool_arrivals(network, scenarios, config, backend, jobs: int, order):
         while busy:
             for conn in wait(busy):
                 try:
-                    i, tag, payload = conn.recv()
+                    arrival = conn.recv()
                 except EOFError:
                     proc = workers[conn]
                     proc.join()
                     message = f"dispatch worker exited with code {proc.exitcode}"
                     raise SolverFailure(message) from None
-                if tag == "error":
-                    raise payload
                 busy.discard(conn)
                 nxt = next(todo, None)
                 if nxt is not None:
                     conn.send(nxt)
                     busy.add(conn)
-                yield i, tag, payload
+                yield arrival
     finally:
         for proc in workers.values():
             proc.kill()
@@ -222,11 +190,14 @@ def solve_all_scenarios(
     index order before anything is computed from them, so no output depends
     on ``order``.
 
-    The dispatch LP is assembled once per sweep, or once per pool worker
-    with ``jobs > 1``, and re-targeted at each further scenario by changing
-    only its balance right-hand side and curtailment bounds.  Pool workers
-    receive single scenario indices over their own pipes; they are killed
-    as soon as the sweep ends, by its verdict or by any error.
+    The sweep dispatches through one :class:`Dispatcher`, or one per pool
+    worker with ``jobs > 1``, so the LP is assembled once there and
+    re-targeted at each further scenario.  Every scenario arrives as
+    (i, outcome): its solution or the exception its dispatch raised.  An
+    InfeasibleScenario counts toward the abort; any other exception is
+    raised here.  Pool workers receive single scenario indices over their
+    own pipes; they are killed as soon as the sweep ends, by its verdict or
+    by any error.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)
@@ -237,11 +208,14 @@ def solve_all_scenarios(
     n_store = len(config.storage_nodes)
     progress_every = n // 4 if n >= 100 else 0
 
-    def collect(arrivals) -> dict[int, tuple]:
+    def collect(arrivals) -> dict[int, DispatchSolution | InfeasibleScenario]:
         results, n_infeasible = {}, 0
-        for i, tag, payload in arrivals:
-            results[i] = (tag, payload)
-            n_infeasible += tag == "infeasible"
+        for i, outcome in arrivals:
+            infeasible = isinstance(outcome, InfeasibleScenario)
+            if isinstance(outcome, Exception) and not infeasible:
+                raise outcome
+            results[i] = outcome
+            n_infeasible += infeasible
             if n_infeasible >= abort_at:
                 break
             done = len(results)
@@ -256,23 +230,23 @@ def solve_all_scenarios(
         finally:
             arrivals.close()
     else:
-        dispatch = _dispatcher(network, config, backend)
-        results = collect((i, *dispatch(scenarios[i])) for i in order)
+        dispatch = Dispatcher(network, config, backend)
+        results = collect((i, _outcome(dispatch, scenarios[i])) for i in order)
 
-    dropped = sorted(i for i, (tag, _) in results.items() if tag == "infeasible")
+    dropped = sorted(i for i, out in results.items() if isinstance(out, InfeasibleScenario))
     aborted = len(dropped) >= abort_at
     if aborted:
-        outcome = f"infeasible after {len(results)} LPs"
+        summary = f"infeasible after {len(results)} LPs"
     else:
-        outcome = f"{len(dropped)} dropped" if dropped else "complete"
-    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", n_store, len(results), n, outcome)
+        summary = f"{len(dropped)} dropped" if dropped else "complete"
+    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", n_store, len(results), n, summary)
     if aborted:
         raise AllScenariosInfeasible(
             f"{len(dropped)} of {n} scenarios infeasible for storage set "
             f"{sorted(config.storage_nodes)} (stopped early)",
             dropped,
         )
-    solutions = [results[i][1] for i in range(n) if results[i][0] == "ok"]
+    solutions = [results[i] for i in range(n) if i not in dropped]
     if dropped:
         labels = [scenarios[i].label for i in dropped]
         logger.warning(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -189,20 +188,3 @@ def run_dispatch_debug(cfg: RunConfig, scenario_index: int) -> dict:
         "residuals": residuals,
     }
 
-
-def write_error_record(out_dir, exc: Exception, exit_code: int) -> None:
-    """Machine-readable failure marker; best effort."""
-    import json
-
-    try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "error.json", "w") as fh:
-            json.dump(
-                {"error_type": type(exc).__name__, "message": str(exc), "exit_code": exit_code},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-    except OSError:
-        logger.warning("could not write error record to %s", out_dir)

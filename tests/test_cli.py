@@ -173,6 +173,24 @@ def test_gen_scenarios_round_trip(tmp_path):
     assert len(sset) == 6
 
 
+def test_relative_out_is_relative_to_the_working_directory(tmp_path, monkeypatch):
+    # the config file's own out_dir stays relative to the file's folder
+    case, work = tmp_path / "case", tmp_path / "work"
+    case.mkdir()
+    work.mkdir()
+    cfg = setup_run(case)
+    monkeypatch.chdir(work)
+    assert main(["gen-scenarios", "--config", str(cfg), "--out", "runs/scen"]) == 0
+    assert (work / "runs" / "scen" / "scenarios.csv").exists()
+    monkeypatch.setenv("GRIDSTORE_OUT", "runs/env")
+    assert main(["gen-scenarios", "--config", str(cfg)]) == 0
+    assert (work / "runs" / "env" / "scenarios.csv").exists()
+    monkeypatch.delenv("GRIDSTORE_OUT")
+    assert main(["gen-scenarios", "--config", str(cfg)]) == 0
+    assert (case / "out" / "scenarios.csv").exists()
+    assert not (case / "runs").exists()
+
+
 def test_place_from_csv_scenarios(tmp_path):
     cfg = setup_run(tmp_path)
     assert main(["gen-scenarios", "--config", str(cfg)]) == 0

@@ -475,21 +475,31 @@ def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free, monk
     before = lp_bytes(first)
     for scen in scens:
         fresh, _ = build_dispatch_lp(net, scen, cfg)
-        assert lp_bytes(retarget_dispatch_lp(net, scen, cfg, first, idx)) == lp_bytes(fresh)
+        assert lp_bytes(retarget_dispatch_lp(first, idx, scen)) == lp_bytes(fresh)
         assert_matches_scipy(fresh, built[-1][1])
     assert lp_bytes(first) == before  # the template is left as built
     assert len(built) == 1 + len(scens)
 
 
-@pytest.mark.parametrize("field", ["n_steps", "dt_hours"])
+# per case: the network and scenario keywords that change one dimension, and the message
+RESHAPED = {
+    "n_steps": ({}, dict(n_steps=7), "has 7 steps"),
+    "dt_hours": ({}, dict(dt_hours=0.25), "steps of 0.25 h"),
+    "n_buses": (dict(n_buses=5), {}, "covers 5 buses, network has 4"),
+    "n_sites": (dict(n_sites=2), {}, "covers 2 sites, network has 1"),
+}
+
+
+@pytest.mark.parametrize("field", list(RESHAPED))
 def test_retarget_rejects_other_step_grid(field):
+    net_kw, scen_kw, message = RESHAPED[field]
     rng = np.random.default_rng(4)
     net = random_network(rng)
     cfg = DispatchConfig(storage_nodes={0})
     prog, idx = build_dispatch_lp(net, random_scenario(rng, net, n_steps=6), cfg)
-    other = {"n_steps": dict(n_steps=7), "dt_hours": dict(dt_hours=0.25)}[field]
-    with pytest.raises(InconsistentDimensions):
-        retarget_dispatch_lp(net, random_scenario(rng, net, **other), cfg, prog, idx)
+    other = random_network(rng, **net_kw) if net_kw else net
+    with pytest.raises(InconsistentDimensions, match=message):
+        retarget_dispatch_lp(prog, idx, random_scenario(rng, other, **scen_kw))
 
 
 def test_rts_sized_case_builds_and_solves():

@@ -485,7 +485,7 @@ def surplus_sweep():
     scens.insert(2, short)
     cfg = DispatchConfig(storage_nodes=frozenset({1, 3}), allow_curtailment=True)
     template, idx = build_dispatch_lp(net, scens[0], cfg)
-    return [retarget_dispatch_lp(net, scen, cfg, template, idx) for scen in scens]
+    return [retarget_dispatch_lp(template, idx, scen) for scen in scens]
 
 
 @pytest.mark.parametrize("backend", ["highs", "highs-ipm"])

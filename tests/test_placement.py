@@ -10,16 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridstore import dispatch as dispatchmod
 from gridstore import lp as lpmod
 from gridstore import placement, runners
 from gridstore.config import load_run_config
 from gridstore.dispatch import (
     DispatchConfig,
+    Dispatcher,
     DispatchSolution,
     Scenario,
     build_dispatch_lp,
+    decode_solution,
     lookahead_dispatch,
-    solve_dispatch_lp,
 )
 from gridstore.errors import (
     AllScenariosInfeasible,
@@ -409,7 +411,7 @@ def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
         prog, idx = build_dispatch_lp(net, scen, cfg)
         for col, cap in ((idx.s_bar, state.stats.s_bar_max), (idx.ps_bar, state.stats.ps_bar_max)):
             prog.var_lower[col] = prog.var_upper[col] = cap + pad
-        sol = solve_dispatch_lp(net, scen, cfg, prog, idx, backend="highs")
+        sol = decode_solution(idx, cfg, lpmod.solve_with_backend(prog, "highs"))
         assert sol.status is Status.OPTIMAL
         assert np.allclose(sol.s_bar, state.stats.s_bar_max + pad)
 
@@ -432,13 +434,13 @@ def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail):
     sset = chain_scenarios(n=5, seed=31)
     cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
     assembled = []
-    build = placement.build_dispatch_lp
+    build = dispatchmod.build_dispatch_lp
 
     def counting_build(*args):
         assembled.append(args[1].label)
         return build(*args)
 
-    monkeypatch.setattr(placement, "build_dispatch_lp", counting_build)
+    monkeypatch.setattr(dispatchmod, "build_dispatch_lp", counting_build)
     solutions, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=1)
     assert assembled == [sset.scenarios[0].label]
     assert dropped == [] and len(solutions) == len(sset)
@@ -539,13 +541,13 @@ def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_pat
     # the storage-everywhere round; ranked first, three of them end its sweep
     cfg, net, sset = quickstart_case(tmp_path, 13)
     solved = []
-    solve = placement.solve_dispatch_lp
+    solve = Dispatcher.__call__
 
-    def counting_solve(network, scenario, config, *args):
-        solved.append(config.storage_nodes)
-        return solve(network, scenario, config, *args)
+    def counting_solve(self, scenario):
+        solved.append(self.config.storage_nodes)
+        return solve(self, scenario)
 
-    monkeypatch.setattr(placement, "solve_dispatch_lp", counting_solve)
+    monkeypatch.setattr(Dispatcher, "__call__", counting_solve)
     state = greedy_placement(
         net, sset, cfg.weights, epsilon_prime=cfg.epsilon_prime, dispatch=cfg.dispatch
     )
