@@ -56,7 +56,7 @@ logger = logging.getLogger("gridstore")
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel dispatch workers")
+    parser.add_argument("--jobs", type=int, default=None, help="parallel dispatch threads")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--solver", default=None, choices=sorted(BACKENDS))
 

@@ -44,8 +44,9 @@ one ``passModel`` call that takes the counts and the program's own numpy
 arrays: 25-39 us on a quickstart LP (219 x 81, 928 nonzeros), where
 filling the bindings' LP object copies the matrix item by item and takes
 170 us (best of 5 x 200 calls, 2-core Xeon).  Dual simplex reuses one
-HiGHS object per process, which ``passModel`` resets to a cold start; a new
-object with its options would add 61-91 us to every LP.  Interior point
+HiGHS object per thread, which ``passModel`` resets to a cold start; a new
+object with its options would add 61-91 us to every LP.  HiGHS releases the
+GIL while it solves, so a sweep's threads solve at once.  Interior point
 takes a fresh HiGHS object per LP: a reused one keeps about 10 MB of IPM
 workspace that neither ``clearSolver`` nor ``clearModel`` releases (peak
 RSS over the 15 ``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).
@@ -68,6 +69,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -565,14 +567,20 @@ _HIGHS_STATUS = {
 }
 
 
-@functools.cache
-def _highs():
-    """scipy's bundled HiGHS bindings, loaded on first use.
+_HIGHS_LOCK = threading.Lock()
 
-    Until ``scipy.optimize`` is imported, the extension is loaded from its
-    file, so that package's ``__init__`` does not run (see the module
-    docstring).
+
+def _highs():
+    """scipy's bundled HiGHS bindings, loaded once: by the first thread that
+    asks, while the others wait on the lock and then take its module.
     """
+    with _HIGHS_LOCK:
+        return sys.modules.get(_HIGHS_CORE) or _load_highs()
+
+
+def _load_highs():
+    """The HiGHS bindings, from the extension's file until ``scipy.optimize``
+    is imported, so that its ``__init__`` does not run (see the module docstring)."""
     try:
         if "scipy.optimize" in sys.modules:
             from scipy.optimize._highspy import _core
@@ -643,13 +651,28 @@ class _IpmRows:
         return row_lower, row_upper
 
 
-@functools.cache
-def _highs_solver(ipm: bool, name: str):
-    """A HiGHS object with the method's options, made once per method.
+def _per_thread(make):
+    """``functools.cache`` for ``make``, with one cache per thread."""
+    local = threading.local()
 
-    Dual simplex reuses this one object for every LP; interior point takes
-    a fresh one per LP from ``_highs_solver.__wrapped__`` (see the module
-    docstring).
+    @functools.wraps(make)
+    def cached(*args):
+        made = local.__dict__.setdefault("made", {})
+        if args not in made:
+            made[args] = make(*args)
+        return made[args]
+
+    return cached
+
+
+@_per_thread
+def _highs_solver(ipm: bool, name: str):
+    """A HiGHS object with the method's options, made once per method and thread.
+
+    No two threads share one: an object holds one model and one solve.
+    Dual simplex reuses this thread's object for every LP; interior point
+    takes a fresh one per LP from ``_highs_solver.__wrapped__`` (see the
+    module docstring).
     """
     h = _highs()
     highs = h._Highs()

@@ -14,10 +14,11 @@ the placement plus a fixed charge per occupied site.
 from __future__ import annotations
 
 import logging
-import multiprocessing
+import threading
 from collections.abc import Callable
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from multiprocessing.connection import wait
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .dispatch import DispatchConfig, Dispatcher, DispatchSolution, Scenario
 from .errors import (
     AllScenariosInfeasible,
     InfeasibleScenario,
-    SolverFailure,
     ValidationError,
     ZeroFluctuationDenominator,
 )
@@ -117,57 +117,33 @@ def _outcome(dispatch: Dispatcher, scenario: Scenario) -> DispatchSolution | Exc
         return exc
 
 
-def _worker_loop(conn, network, scenarios, config, backend) -> None:
-    """Pool worker: dispatch each scenario index received on ``conn``; reply (i, outcome)."""
-    dispatch = Dispatcher(network, config, backend)
-    while True:
-        i = conn.recv()
-        conn.send((i, _outcome(dispatch, scenarios[i])))
-
-
 def _pool_arrivals(network, scenarios, config, backend, jobs: int, order):
-    """Yield (i, outcome) from ``jobs`` workers as their results arrive.
+    """Yield (i, outcome) from ``jobs`` threads, each with its own
+    :class:`Dispatcher`, as their results arrive.
 
-    Each worker has its own pipe and one scenario index in flight, and no
-    lock is shared between processes, so a worker can be killed at any
-    moment.  Closing the generator kills and reaps every worker.
+    A thread gets its next scenario only once its last result has been
+    yielded, so closing the generator leaves at most ``jobs - 1`` solves
+    running; they finish in the background and their results are dropped.
     """
+    local = threading.local()
+
+    def start():
+        local.dispatch = Dispatcher(network, config, backend)
+
+    def run(i):
+        return i, _outcome(local.dispatch, scenarios[i])
+
     todo = iter(order)
-    workers = {}
+    pool = ThreadPoolExecutor(jobs, "gridstore-dispatch", start)
     try:
-        for _ in range(jobs):
-            conn, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_worker_loop,
-                args=(child, network, scenarios, config, backend),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            workers[conn] = proc
-            conn.send(next(todo))
-        busy = set(workers)
-        while busy:
-            for conn in wait(busy):
-                try:
-                    arrival = conn.recv()
-                except EOFError:
-                    proc = workers[conn]
-                    proc.join()
-                    message = f"dispatch worker exited with code {proc.exitcode}"
-                    raise SolverFailure(message) from None
-                busy.discard(conn)
-                nxt = next(todo, None)
-                if nxt is not None:
-                    conn.send(nxt)
-                    busy.add(conn)
-                yield arrival
+        running = {pool.submit(run, i) for i in islice(todo, jobs)}
+        while running:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield future.result()
+                running.update(pool.submit(run, i) for i in islice(todo, 1))
     finally:
-        for proc in workers.values():
-            proc.kill()
-        for conn, proc in workers.items():
-            proc.join()
-            conn.close()
+        pool.shutdown(wait=False)
 
 
 def solve_all_scenarios(
@@ -191,13 +167,13 @@ def solve_all_scenarios(
     on ``order``.
 
     The sweep dispatches through one :class:`Dispatcher`, or one per pool
-    worker with ``jobs > 1``, so the LP is assembled once there and
+    thread with ``jobs > 1``, so the LP is assembled once there and
     re-targeted at each further scenario.  Every scenario arrives as
     (i, outcome): its solution or the exception its dispatch raised.  An
     InfeasibleScenario counts toward the abort; any other exception is
-    raised here.  Pool workers receive single scenario indices over their
-    own pipes; they are killed as soon as the sweep ends, by its verdict or
-    by any error.
+    raised here.  When the sweep ends early, by its verdict or by any error,
+    no further scenario starts; the at most ``jobs - 1`` solves still
+    running finish in the background, and their results are dropped.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)

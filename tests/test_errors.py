@@ -21,7 +21,7 @@ ERRORS = {
 
 @pytest.mark.parametrize("name", list(ERRORS))
 def test_error_survives_pickling(name):
-    # pool workers send the exception a dispatch raised back over a pipe
+    # an exception a dispatch raised can cross a process boundary, e.g. from a caller's worker
     exc, attrs = ERRORS[name]
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)

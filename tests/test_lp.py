@@ -584,13 +584,13 @@ def test_missing_highs_bindings_name_the_scipy_needed(monkeypatch, tmp_path):
 
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
-        lpmod._highs.__wrapped__()
-    # without scipy.optimize loaded, _highs looks for the extension in scipy's folder
+        lpmod._load_highs()
+    # without scipy.optimize loaded, the loader looks for the extension in scipy's folder
     monkeypatch.delitem(sys.modules, "scipy.optimize._highspy")
     monkeypatch.delitem(sys.modules, "scipy.optimize")
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     with pytest.raises(ImportError, match=r"scipy>=1\.15"):
-        lpmod._highs.__wrapped__()
+        lpmod._load_highs()
 
 
 def linprog_highs(lp):
@@ -633,6 +633,48 @@ def test_highs_bindings_load_without_scipy_optimize():
     lp = dense_lp()
     in_process = [solve_highs(lp).x, solve_highs_ipm(lp).x, linprog_highs(lp).x]
     assert run.stdout.split() == [x.tobytes().hex() for x in in_process]
+
+
+# Two threads make the process's first HiGHS solves at once, each loading the bindings.
+CONCURRENT_LOAD = """
+import sys
+import threading
+import gridstore.lp as lpmod
+from test_lp import dense_lp
+
+loads = []
+load = lpmod._load_highs
+
+def counted_load():
+    loads.append(load())
+    return loads[-1]
+
+lpmod._load_highs = counted_load
+sys.setswitchinterval(1e-6)
+gate = threading.Barrier(2, timeout=60)
+got = {}
+
+def first_solve(backend):
+    gate.wait()
+    got[backend] = (lpmod.solve_with_backend(dense_lp(), backend).objective, lpmod._highs())
+
+threads = [threading.Thread(target=first_solve, args=(b,)) for b in ("highs", "highs-ipm")]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(120)
+assert not any(t.is_alive() for t in threads)
+(_, core), (_, other) = got.values()
+assert len(loads) == 1 and core is other is loads[0] is sys.modules[lpmod._HIGHS_CORE]
+assert "scipy.optimize" not in sys.modules  # so the bindings were loaded from their file
+print(" ".join(repr(got[b][0]) for b in ("highs", "highs-ipm")))
+"""
+
+
+def test_first_highs_solves_on_two_threads_load_the_bindings_once():
+    run = run_fresh(CONCURRENT_LOAD)
+    lp = dense_lp()
+    assert run.stdout.split() == [repr(solve_highs(lp).objective), repr(solve_highs_ipm(lp).objective)]
 
 
 PLACE_WITHOUT_SCIPY_SPARSE = """

@@ -4,12 +4,15 @@ import json
 import logging
 import multiprocessing
 import signal
+import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import dispatch_threads
 from gridstore import dispatch as dispatchmod
 from gridstore import lp as lpmod
 from gridstore import placement, runners
@@ -416,12 +419,19 @@ def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
         assert np.allclose(sol.s_bar, state.stats.s_bar_max + pad)
 
 
-def test_parallel_sweep_matches_serial():
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("backend", ["simplex", "highs", "highs-ipm"])
+def test_parallel_sweep_matches_serial(backend, jobs):
     net = chain_network()
     sset = chain_scenarios(n=6, seed=31)
     weights = PerfWeights(site_cost=0.05)
-    serial = greedy_placement(net, sset, weights, backend="highs", jobs=1)
-    parallel = greedy_placement(net, sset, weights, backend="highs", jobs=2)
+    serial = greedy_placement(net, sset, weights, backend=backend, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
+    try:
+        parallel = greedy_placement(net, sset, weights, backend=backend, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial.nodes == parallel.nodes
     assert serial.perf_value == parallel.perf_value  # bitwise, not approx
     assert np.array_equal(serial.stats.s_bar_max, parallel.stats.s_bar_max)
@@ -557,27 +567,34 @@ def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_pat
 
 
 def test_worker_failure_ends_the_sweep_at_once(monkeypatch):
-    # the first LP any worker solves fails; every other one would take 30 s
+    # the first LP any thread solves fails; every other one waits until the test ends
     net = chain_network()
     sset = chain_scenarios(n=6, seed=31)
-    first = multiprocessing.Value("i", 0)
+    lock, calls = threading.Lock(), []
+    release = threading.Event()
     solve = lpmod.solve_with_backend
 
     def failing_once(prog, backend):
-        with first.get_lock():
-            first.value += 1
-            mine = first.value == 1
+        with lock:
+            calls.append(prog)
+            mine = len(calls) == 1
         if mine:
             return LpSolution(Status.ITERATION_LIMIT)
-        time.sleep(30)
+        release.wait(60)
         return solve(prog, backend)
 
     monkeypatch.setattr(lpmod, "solve_with_backend", failing_once)
     cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}))
     start = time.monotonic()
-    with pytest.raises(SolverFailure, match=r"^scenario s\d+ \(highs\): .* iteration_limit$"):
-        solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
-    assert time.monotonic() - start < 10
+    try:
+        with pytest.raises(SolverFailure, match=r"^scenario s\d+ \(highs\): .* iteration_limit$"):
+            solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
+        assert time.monotonic() - start < 10
+    finally:
+        release.set()
+    for thread in dispatch_threads():
+        thread.join(10)
+    assert len(calls) == 2  # the failed LP and the one left running: none started after the failure
     assert multiprocessing.active_children() == []
 
 
@@ -602,6 +619,9 @@ def test_aborting_pool_sweeps_do_not_hang():
             with pytest.raises(AllScenariosInfeasible):
                 solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
             assert multiprocessing.active_children() == []
+        for thread in dispatch_threads():
+            thread.join(10)
+        assert dispatch_threads() == []
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
