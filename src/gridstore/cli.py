@@ -261,15 +261,12 @@ def main(argv=None) -> int:
     )
     try:
         return COMMANDS[args.command](args)
-    except GridstoreError as exc:
+    except (GridstoreError, FileNotFoundError) as exc:
         code = _classify(exc)
         if code is None:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

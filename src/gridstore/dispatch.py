@@ -18,9 +18,11 @@ it shares units with the capacity cost terms.
 For a fixed network, storage node set and step grid the LP differs between
 scenarios only in the nodal-balance right-hand side and, with curtailment,
 the curtailment upper bounds.  A :class:`Dispatcher` therefore assembles it
-with :func:`build_dispatch_lp` on its first scenario, re-targets that
-program at each later one with :func:`retarget_dispatch_lp`, and solves and
-decodes each; :func:`lookahead_dispatch` is a Dispatcher's single call.
+once, when constructed, with :func:`build_dispatch_lp`; each call re-targets
+that program at the call's scenario with :func:`retarget_dispatch_lp`, then
+solves and decodes it.  No call writes into the assembled program, so one
+Dispatcher serves every thread of a sweep; :func:`lookahead_dispatch` is a
+Dispatcher's single call.
 """
 
 from __future__ import annotations
@@ -420,27 +422,25 @@ def decode_solution(
 class Dispatcher:
     """Dispatches scenarios against one network, storage config and backend.
 
-    Calling it on a scenario returns the decoded :class:`DispatchSolution`.
-    The first call assembles the horizon LP with :func:`build_dispatch_lp`;
-    each later call re-targets that LP at its scenario.  Raises
-    InfeasibleScenario (with the scenario label) when no dispatch satisfies
-    the constraints, SolverFailure (naming the scenario and the backend) on
-    any other non-optimal stop.
+    Construction assembles the horizon LP for ``scenario`` with
+    :func:`build_dispatch_lp`.  Calling the Dispatcher on a scenario of the
+    same shape re-targets that LP at it, solves, and returns the decoded
+    :class:`DispatchSolution`.  A call only reads the assembled LP, so
+    threads may share one Dispatcher.  Raises InfeasibleScenario (with the
+    scenario label) when no dispatch satisfies the constraints,
+    SolverFailure (naming the scenario and the backend) on any other
+    non-optimal stop.
     """
 
-    def __init__(self, network: Network, config: DispatchConfig, backend: str = "highs"):
-        self.network = network
+    def __init__(
+        self, network: Network, scenario: Scenario, config: DispatchConfig, backend: str = "highs"
+    ):
         self.config = config
         self.backend = backend
-        self.template: tuple[LinearProgram, DispatchIndex] | None = None
+        self.template, self.idx = build_dispatch_lp(network, scenario, config)
 
     def __call__(self, scenario: Scenario) -> DispatchSolution:
-        if self.template is None:
-            self.template = build_dispatch_lp(self.network, scenario, self.config)
-            prog, idx = self.template
-        else:
-            template, idx = self.template
-            prog = retarget_dispatch_lp(template, idx, scenario)
+        prog = retarget_dispatch_lp(self.template, self.idx, scenario)
         label = scenario.label or "<unnamed>"
         try:
             sol = lpmod.solve_with_backend(prog, self.backend)
@@ -453,7 +453,7 @@ class Dispatcher:
                 f"scenario {label} ({self.backend}): "
                 f"dispatch LP ended with status {sol.status.value}"
             )
-        return decode_solution(idx, self.config, sol)
+        return decode_solution(self.idx, self.config, sol)
 
 
 def lookahead_dispatch(
@@ -462,8 +462,8 @@ def lookahead_dispatch(
     config: DispatchConfig,
     backend: str = "highs",
 ) -> DispatchSolution:
-    """Build and solve the horizon LP for one scenario; raises as :class:`Dispatcher` does."""
-    return Dispatcher(network, config, backend)(scenario)
+    """Assemble, solve and decode one scenario's LP; raises as :class:`Dispatcher` does."""
+    return Dispatcher(network, scenario, config, backend)(scenario)
 
 
 def verify_dispatch(

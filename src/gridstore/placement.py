@@ -14,7 +14,6 @@ the placement plus a fixed charge per occupied site.
 from __future__ import annotations
 
 import logging
-import threading
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -117,24 +116,20 @@ def _outcome(dispatch: Dispatcher, scenario: Scenario) -> DispatchSolution | Exc
         return exc
 
 
-def _pool_arrivals(network, scenarios, config, backend, jobs: int, order):
-    """Yield (i, outcome) from ``jobs`` threads, each with its own
-    :class:`Dispatcher`, as their results arrive.
+def _pool_arrivals(dispatch: Dispatcher, scenarios, jobs: int, order):
+    """Yield (i, outcome) from ``jobs`` threads sharing ``dispatch``, as their
+    results arrive.
 
     A thread gets its next scenario only once its last result has been
     yielded, so closing the generator leaves at most ``jobs - 1`` solves
     running; they finish in the background and their results are dropped.
     """
-    local = threading.local()
-
-    def start():
-        local.dispatch = Dispatcher(network, config, backend)
 
     def run(i):
-        return i, _outcome(local.dispatch, scenarios[i])
+        return i, _outcome(dispatch, scenarios[i])
 
     todo = iter(order)
-    pool = ThreadPoolExecutor(jobs, "gridstore-dispatch", start)
+    pool = ThreadPoolExecutor(jobs, "gridstore-dispatch")
     try:
         running = {pool.submit(run, i) for i in islice(todo, jobs)}
         while running:
@@ -166,14 +161,15 @@ def solve_all_scenarios(
     index order before anything is computed from them, so no output depends
     on ``order``.
 
-    The sweep dispatches through one :class:`Dispatcher`, or one per pool
-    thread with ``jobs > 1``, so the LP is assembled once there and
-    re-targeted at each further scenario.  Every scenario arrives as
-    (i, outcome): its solution or the exception its dispatch raised.  An
-    InfeasibleScenario counts toward the abort; any other exception is
-    raised here.  When the sweep ends early, by its verdict or by any error,
-    no further scenario starts; the at most ``jobs - 1`` solves still
-    running finish in the background, and their results are dropped.
+    The sweep builds one :class:`Dispatcher` from its first scenario before
+    any scenario is dispatched, so the LP is assembled once, and every
+    scenario, on this thread or on any of ``jobs`` pool threads, re-targets
+    that one LP.  Every scenario arrives as (i, outcome): its solution or
+    the exception its dispatch raised.  An InfeasibleScenario counts toward
+    the abort; any other exception is raised here.  When the sweep ends
+    early, by its verdict or by any error, no further scenario starts; the
+    at most ``jobs - 1`` solves still running finish in the background, and
+    their results are dropped.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)
@@ -184,8 +180,13 @@ def solve_all_scenarios(
     n_store = len(config.storage_nodes)
     progress_every = n // 4 if n >= 100 else 0
 
-    def collect(arrivals) -> dict[int, DispatchSolution | InfeasibleScenario]:
-        results, n_infeasible = {}, 0
+    dispatch = Dispatcher(network, scenarios[order[0]], config, backend) if n else None
+    if jobs > 1 and n > 1:
+        arrivals = _pool_arrivals(dispatch, scenarios, min(jobs, n), order)
+    else:
+        arrivals = ((i, _outcome(dispatch, scenarios[i])) for i in order)
+    results, n_infeasible = {}, 0
+    try:
         for i, outcome in arrivals:
             infeasible = isinstance(outcome, InfeasibleScenario)
             if isinstance(outcome, Exception) and not infeasible:
@@ -197,17 +198,8 @@ def solve_all_scenarios(
             done = len(results)
             if progress_every and done % progress_every == 0 and done < n:
                 logger.info("dispatched %d/%d scenarios (|S|=%d)", done, n, n_store)
-        return results
-
-    if jobs > 1 and n > 1:
-        arrivals = _pool_arrivals(network, scenarios, config, backend, min(jobs, n), order)
-        try:
-            results = collect(arrivals)
-        finally:
-            arrivals.close()
-    else:
-        dispatch = Dispatcher(network, config, backend)
-        results = collect((i, _outcome(dispatch, scenarios[i])) for i in order)
+    finally:
+        arrivals.close()
 
     dropped = sorted(i for i, out in results.items() if isinstance(out, InfeasibleScenario))
     aborted = len(dropped) >= abort_at

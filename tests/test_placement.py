@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -438,8 +439,9 @@ def test_parallel_sweep_matches_serial(backend, jobs):
     assert np.array_equal(serial.stats.ps_bar_max, parallel.stats.ps_bar_max)
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("curtail", [False, True])
-def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail):
+def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail, jobs):
     net = chain_network()
     sset = chain_scenarios(n=5, seed=31)
     cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
@@ -451,14 +453,57 @@ def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail):
         return build(*args)
 
     monkeypatch.setattr(dispatchmod, "build_dispatch_lp", counting_build)
-    solutions, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=1)
-    assert assembled == [sset.scenarios[0].label]
+    solutions, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs)
+    assert assembled == [sset.scenarios[0].label]  # once per sweep, not once per thread
     assert dropped == [] and len(solutions) == len(sset)
     for scen, got in zip(sset, solutions):
         want = lookahead_dispatch(net, scen, cfg, backend="highs")
         for name in ("s_bar", "ps_bar", "soc"):
             assert np.array_equal(getattr(got, name), getattr(want, name))  # bitwise
         assert got.objective == want.objective
+
+
+def read_only_build(network, scenario, config):
+    """``build_dispatch_lp`` with every array of the program made read-only."""
+    prog, idx = build_dispatch_lp(network, scenario, config)
+    for array in (
+        prog.A.indptr,
+        prog.A.indices,
+        prog.A.data,
+        prog.cost,
+        prog.row_lower,
+        prog.row_upper,
+        prog.var_lower,
+        prog.var_upper,
+    ):
+        array.flags.writeable = False
+    return prog, idx
+
+
+@pytest.mark.parametrize("backend", ["simplex", "highs", "highs-ipm"])
+@pytest.mark.parametrize("curtail", [False, True])
+def test_shared_sweep_lp_is_never_written(monkeypatch, tmp_path, backend, curtail):
+    run_cfg, net, sset = quickstart_case(tmp_path, 7)
+    cfg = replace(run_cfg.dispatch, storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
+    want, want_dropped = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=1)
+    monkeypatch.setattr(dispatchmod, "build_dispatch_lp", read_only_build)
+    got, dropped = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=2)
+    assert dropped == want_dropped and len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("pg", "ps", "soc", "s_bar", "ps_bar"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))  # bitwise
+        assert a.objective == b.objective
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_empty_scenario_set_dispatches_nothing(jobs):
+    net, empty = chain_network(), ScenarioSet([])
+    cfg = DispatchConfig(storage_nodes=frozenset({0, 1}))
+    assert solve_all_scenarios(net, empty, cfg, jobs=jobs) == ([], [])
+    weights = PerfWeights(site_cost=0.05)
+    stats, metrics = evaluate_fixed_placement(net, empty, {0, 1}, weights, jobs=jobs)
+    assert stats.nodes == (0, 1) and stats.s_bar_max.size == 0
+    assert metrics == {"energy_metric": 0.0, "power_metric": 0.0, "perf": 0.1, "dropped": 0}
 
 
 def quickstart_config(tmp_path, seed):
