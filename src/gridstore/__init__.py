@@ -29,9 +29,9 @@ from .network import (
     dc_power_flow,
 )
 from .placement import (
-    CapacityStats,
     PerfWeights,
     PlacementState,
+    SubsetEvaluation,
     evaluate_fixed_placement,
     greedy_placement,
     normalized_energy_capacity,
@@ -50,7 +50,6 @@ from .scenarios import (
 
 __all__ = [
     "Bus",
-    "CapacityStats",
     "DispatchConfig",
     "DispatchSolution",
     "Generator",
@@ -65,6 +64,7 @@ __all__ = [
     "Scenario",
     "ScenarioSet",
     "Status",
+    "SubsetEvaluation",
     "SyntheticParams",
     "build_dispatch_lp",
     "build_laplacian",

@@ -230,7 +230,6 @@ class DispatchSolution:
     pg: np.ndarray  # (T, n_gen) MW
     ps: np.ndarray  # (T, n_store) MW, positive discharging
     soc: np.ndarray  # (T+1, n_store) MWh
-    theta: np.ndarray  # (T, n_buses) rad
     flows: np.ndarray  # (T, n_lines) MW
     s_bar: np.ndarray  # (n_store,) MWh
     ps_bar: np.ndarray  # (n_store,) MW
@@ -405,7 +404,6 @@ def decode_solution(
         pg=pg,
         ps=ps,
         soc=soc,
-        theta=theta,
         flows=flows,
         s_bar=s_bar,
         ps_bar=ps_bar,

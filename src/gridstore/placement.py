@@ -48,25 +48,6 @@ class PerfWeights:
                 raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
-@dataclass(eq=False)
-class CapacityStats:
-    """Worst-case storage usage per node across a scenario collection."""
-
-    nodes: tuple[int, ...]
-    s_bar_max: np.ndarray  # MWh per node, elementwise max over scenarios
-    ps_bar_max: np.ndarray  # MW per node
-    per_scenario_ps_bar: np.ndarray  # (n_scenarios_ok, n_nodes) MW
-
-    @classmethod
-    def from_solutions(cls, nodes, solutions: list[DispatchSolution]) -> "CapacityStats":
-        nodes = tuple(sorted(nodes))
-        if not solutions or not nodes:
-            return cls(nodes, np.zeros(0), np.zeros(0), np.zeros((len(solutions), 0)))
-        s_bar_max = np.vstack([sol.s_bar for sol in solutions]).max(axis=0)
-        per_p = np.vstack([sol.ps_bar for sol in solutions])
-        return cls(nodes, s_bar_max, per_p.max(axis=0), per_p)
-
-
 def perf(nodes, energy_metric: float, weights: PerfWeights) -> float:
     """Placement cost: weighted normalized energy capacity plus site charges."""
     return weights.energy_weight * energy_metric + weights.site_cost * len(nodes)
@@ -227,27 +208,26 @@ def solve_all_scenarios(
 class SubsetEvaluation:
     """One dispatched node set: its worst-case capacities, metrics and perf."""
 
-    stats: CapacityStats
+    nodes: tuple[int, ...]  # sorted
+    s_bar_max: np.ndarray  # MWh per node, elementwise max over the kept scenarios
+    ps_bar_max: np.ndarray  # MW per node
+    per_scenario_ps_bar: np.ndarray  # (n_kept, n_nodes) MW, kept scenarios in index order
     energy_metric: float
     power_metric: float
     perf: float
     dropped_indices: tuple[int, ...] = ()  # the dropped scenarios, in index order
 
     @property
-    def nodes(self) -> tuple[int, ...]:
-        return self.stats.nodes
-
-    @property
     def dropped(self) -> int:
         return len(self.dropped_indices)
 
 
-def _metric_or_zero(metric_fn, solutions, scenarios, stats) -> float:
+def _metric_or_zero(metric_fn, solutions, scenarios, s_bar_max) -> float:
     try:
         return metric_fn(solutions, scenarios)
     except ZeroFluctuationDenominator:
         # nothing fluctuates, so nothing gets stored; define the ratio as 0
-        if stats.s_bar_max.sum() <= _ZERO_CAP_TOL:
+        if s_bar_max.sum() <= _ZERO_CAP_TOL:
             return 0.0
         raise
 
@@ -272,10 +252,25 @@ def evaluate_subset(
     )
     dropped_set = set(dropped)
     kept = [s for i, s in enumerate(scenario_set.scenarios) if i not in dropped_set]
-    stats = CapacityStats.from_solutions(nodes, solutions)
-    energy = _metric_or_zero(normalized_energy_capacity, solutions, kept, stats)
-    power = _metric_or_zero(normalized_power_capacity, solutions, kept, stats)
-    return SubsetEvaluation(stats, energy, power, perf(nodes, energy, weights), tuple(dropped))
+    nodes = tuple(sorted(nodes))
+    if solutions and nodes:
+        s_bar_max = np.vstack([sol.s_bar for sol in solutions]).max(axis=0)
+        per_p = np.vstack([sol.ps_bar for sol in solutions])
+        ps_bar_max = per_p.max(axis=0)
+    else:
+        s_bar_max, ps_bar_max, per_p = np.zeros(0), np.zeros(0), np.zeros((len(solutions), 0))
+    energy = _metric_or_zero(normalized_energy_capacity, solutions, kept, s_bar_max)
+    power = _metric_or_zero(normalized_power_capacity, solutions, kept, s_bar_max)
+    return SubsetEvaluation(
+        nodes,
+        s_bar_max,
+        ps_bar_max,
+        per_p,
+        energy,
+        power,
+        perf(nodes, energy, weights),
+        tuple(dropped),
+    )
 
 
 def evaluate_fixed_placement(
@@ -286,16 +281,16 @@ def evaluate_fixed_placement(
     dispatch: DispatchConfig = DispatchConfig(),
     backend: str = "highs",
     jobs: int = 1,
-) -> tuple[CapacityStats, dict]:
+) -> tuple[SubsetEvaluation, dict]:
     """Size storage for a fixed node set; no pruning.
 
-    Returns the capacity stats plus a metrics dict for comparison against
-    greedy output.
+    Returns the node set's :class:`SubsetEvaluation` plus a metrics dict
+    for comparison against greedy output.
     """
     if not nodes:
         raise ValidationError("fixed placement needs at least one node")
     ev = evaluate_subset(network, scenario_set, nodes, weights, dispatch, backend, jobs)
-    return ev.stats, {
+    return ev, {
         "energy_metric": ev.energy_metric,
         "power_metric": ev.power_metric,
         "perf": ev.perf,
@@ -308,14 +303,16 @@ def evaluate_fixed_placement(
 # ---------------------------------------------------------------------------
 
 
-def candidate_thresholds(stats: CapacityStats) -> list[tuple[float, frozenset]]:
-    """Distinct (gamma, surviving subset) pairs in decreasing gamma order.
+def candidate_thresholds(ev: SubsetEvaluation) -> list[tuple[float, frozenset]]:
+    """Distinct (gamma, surviving subset) pairs of ``ev``'s node set, in
+    decreasing gamma order.
 
-    Gammas are the distinct ratios s_bar_i / max(s_bar).  When no node
-    stores anything the only candidate is pruning to the empty set.
+    Gammas are the distinct ratios s_bar_i / max(s_bar) over ``ev.s_bar_max``.
+    When no node stores anything the only candidate is pruning to the empty
+    set.
     """
-    cap = stats.s_bar_max
-    nodes = np.array(stats.nodes)
+    cap = ev.s_bar_max
+    nodes = np.array(ev.nodes)
     top = float(cap.max()) if cap.size else 0.0
     if top <= _ZERO_CAP_TOL:
         return [(1.0, frozenset())]
@@ -330,23 +327,20 @@ def candidate_thresholds(stats: CapacityStats) -> list[tuple[float, frozenset]]:
     return out
 
 
-def threshold_scan(
-    stats: CapacityStats,
-    nodes: frozenset,
-    epsilon: float,
-    current_perf: float,
-    evaluate,
-):
-    """Largest gamma whose re-dispatched subset beats current_perf by > epsilon.
+def threshold_scan(current: SubsetEvaluation, epsilon: float, evaluate):
+    """Largest gamma whose re-dispatched subset beats ``current.perf`` by > epsilon.
 
-    ``evaluate(frozenset) -> SubsetEvaluation`` runs the full re-dispatch.
-    Candidates are tried from the largest gamma down and the first winner is
-    returned, which is exactly the max over improving gammas.  Candidates
-    whose sweep aborts on infeasibility are skipped.  Every rejected
-    candidate is logged at info level with its reason.  Returns
-    (gamma, SubsetEvaluation) or None when no threshold improves.
+    The candidates are :func:`candidate_thresholds` of ``current``, the
+    evaluation of the node set being pruned.  ``evaluate(frozenset) ->
+    SubsetEvaluation`` runs the full re-dispatch.  Candidates are tried from
+    the largest gamma down and the first winner is returned, which is
+    exactly the max over improving gammas.  Candidates whose sweep aborts on
+    infeasibility are skipped.  Every rejected candidate is logged at info
+    level with its reason.  Returns (gamma, SubsetEvaluation) or None when
+    no threshold improves.
     """
-    for gamma, keep in candidate_thresholds(stats):
+    nodes, current_perf = frozenset(current.nodes), current.perf
+    for gamma, keep in candidate_thresholds(current):
         if keep == nodes:
             continue  # same set, same perf by determinism: cannot improve
         try:
@@ -369,18 +363,19 @@ def threshold_scan(
 def _binding_first_order(
     parent: SubsetEvaluation, nodes: frozenset, infeasible: set[int], n_scenarios: int
 ) -> list[int]:
-    """Dispatch order for a candidate subset of ``parent``'s node set.
+    """Dispatch order for ``nodes``, a candidate subset of ``parent.nodes``.
 
     Scenarios in ``infeasible`` (found infeasible by an earlier sweep) go
     first.  The rest of the order ranks scenarios by the total ps_bar they
-    placed in the parent round on the nodes the candidate drops, largest
-    first, since they lean hardest on the storage the candidate takes away.
-    Ties, and scenarios the parent round dropped, go in index order.
+    placed in the parent round (the rows of ``parent.per_scenario_ps_bar``)
+    on the nodes the candidate drops, largest first, since they lean hardest
+    on the storage the candidate takes away.  Ties, and scenarios the parent
+    round dropped, go in index order.
     """
     kept = np.setdiff1d(np.arange(n_scenarios), parent.dropped_indices)
-    gone = [k for k, b in enumerate(parent.stats.nodes) if b not in nodes]
+    gone = [k for k, b in enumerate(parent.nodes) if b not in nodes]
     load = np.zeros(n_scenarios)
-    load[kept] = parent.stats.per_scenario_ps_bar[:, gone].sum(axis=1)
+    load[kept] = parent.per_scenario_ps_bar[:, gone].sum(axis=1)
     return sorted(range(n_scenarios), key=lambda i: (i not in infeasible, -load[i], i))
 
 
@@ -389,7 +384,6 @@ class PlacementState:
     rounds: list[SubsetEvaluation]  # one per pruning round; the last is the placement
     gammas: list[float | None]  # threshold that produced each round's set (None for the first)
     epsilon: float
-    epsilon_prime: float
     # every subset evaluated so far: its evaluation, or the infeasibility that ended it
     verdicts: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible]
     # greedy's memoized evaluation; it raises a remembered infeasibility again
@@ -399,14 +393,6 @@ class PlacementState:
     @property
     def nodes(self) -> frozenset:
         return frozenset(self.rounds[-1].nodes)
-
-    @property
-    def stats(self) -> CapacityStats:
-        return self.rounds[-1].stats
-
-    @property
-    def perf_value(self) -> float:
-        return self.rounds[-1].perf
 
 
 def greedy_placement(
@@ -461,27 +447,25 @@ def greedy_placement(
             raise memo[nodes]
         return memo[nodes]
 
-    current = frozenset(range(network.n_buses))
-    ev = evaluate(current)
+    ev = evaluate(frozenset(range(network.n_buses)))
     eps = epsilon if epsilon is not None else max(epsilon_rel * ev.perf, 1e-12)
     rounds, gammas = [ev], [None]
 
-    while current:
+    while ev.nodes:
         parent = ev
-        hit = threshold_scan(ev.stats, current, eps, ev.perf, evaluate)
+        hit = threshold_scan(ev, eps, evaluate)
         if hit is None:
             break
         gamma, ev = hit
-        current = frozenset(ev.nodes)
         rounds.append(ev)
         gammas.append(gamma)
         logger.info(
-            "pruned to %d nodes at gamma=%.4f, perf=%.6f", len(current), gamma, ev.perf
+            "pruned to %d nodes at gamma=%.4f, perf=%.6f", len(ev.nodes), gamma, ev.perf
         )
         if 1.0 - gamma <= epsilon_prime:
             break
 
-    return PlacementState(rounds, gammas, eps, epsilon_prime, memo, evaluate)
+    return PlacementState(rounds, gammas, eps, memo, evaluate)
 
 
 def baseline_nodes(network: Network, scenario_set: ScenarioSet) -> frozenset:

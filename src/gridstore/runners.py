@@ -14,6 +14,7 @@ from .errors import ValidationError
 from .fileio import load_network_document
 from .placement import (
     PlacementState,
+    SubsetEvaluation,
     baseline_nodes,
     evaluate_subset,
     greedy_placement,
@@ -51,10 +52,10 @@ def _iteration_rows(state: PlacementState) -> list[dict]:
     return rows
 
 
-def _capacity_rows(stats) -> list[dict]:
+def _capacity_rows(ev: SubsetEvaluation) -> list[dict]:
     return [
         {"bus": int(b), "s_bar_mwh": float(s), "ps_bar_mw": float(p)}
-        for b, s, p in zip(stats.nodes, stats.s_bar_max, stats.ps_bar_max)
+        for b, s, p in zip(ev.nodes, ev.s_bar_max, ev.ps_bar_max)
     ]
 
 
@@ -98,7 +99,7 @@ def run_place(cfg: RunConfig) -> Report:
                     "power_ratio_vs_greedy": (
                         ev.power_metric / greedy.power_metric if greedy.power_metric > 0 else None
                     ),
-                    "capacities": _capacity_rows(ev.stats),
+                    "capacities": _capacity_rows(ev),
                 }
             except Exception as exc:  # baseline failure should not kill the run
                 baseline = {"error": f"{type(exc).__name__}: {exc}"}
@@ -108,9 +109,9 @@ def run_place(cfg: RunConfig) -> Report:
     return Report(
         config=cfg.raw,
         iterations=_iteration_rows(state),
-        final_placement=_capacity_rows(state.stats),
+        final_placement=_capacity_rows(state.rounds[-1]),
         baseline=baseline,
-        histograms={str(i): _capacity_rows(ev.stats) for i, ev in enumerate(state.rounds)},
+        histograms={str(i): _capacity_rows(ev) for i, ev in enumerate(state.rounds)},
         sweep=[],
         timing={
             "scenario_seconds": t_scen - t_start,

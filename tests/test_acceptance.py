@@ -254,8 +254,8 @@ def test_criterion_5_greedy_vs_exhaustive():
                 best = min(best, ev.perf)
         assert np.isfinite(best)
         state = greedy_placement(net, sset, weights, dispatch=dispatch, backend="highs")
-        ratio = state.perf_value / best
-        assert ratio <= 1.25 + 1e-9, f"seed {seed}: greedy {state.perf_value} vs best {best}"
+        ratio = state.rounds[-1].perf / best
+        assert ratio <= 1.25 + 1e-9, f"seed {seed}: greedy {state.rounds[-1].perf} vs best {best}"
         ratios.append(ratio)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -306,11 +306,11 @@ def test_criterion_6_three_area_pruning():
     assert n_final <= 0.15 * net.n_buses
 
     # (b) greedy needs no more total energy capacity than storing at the wind sites
-    stats_base, _ = evaluate_fixed_placement(
+    base, _ = evaluate_fixed_placement(
         net, sset, frozenset(ren_buses), weights, dispatch, backend="highs-ipm", jobs=jobs
     )
-    greedy_mwh = float(state.stats.s_bar_max.sum())
-    baseline_mwh = float(stats_base.s_bar_max.sum())
+    greedy_mwh = float(state.rounds[-1].s_bar_max.sum())
+    baseline_mwh = float(base.s_bar_max.sum())
     assert greedy_mwh <= baseline_mwh + 1e-9
     ratio = baseline_mwh / greedy_mwh if greedy_mwh > 0 else float("inf")
 

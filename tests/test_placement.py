@@ -36,7 +36,6 @@ from gridstore.errors import (
 from gridstore.lp import LpSolution, Status
 from gridstore.network import Bus, Generator, Line, Network, RenewableSite
 from gridstore.placement import (
-    CapacityStats,
     PerfWeights,
     SubsetEvaluation,
     baseline_nodes,
@@ -65,7 +64,6 @@ def fake_solution(ps, soc, nodes=(0,)):
         pg=np.zeros((T, 0)),
         ps=ps,
         soc=soc,
-        theta=np.zeros((T, 1)),
         flows=np.zeros((T, 0)),
         s_bar=soc.max(axis=0) - soc.min(axis=0),
         ps_bar=np.abs(ps).max(axis=0),
@@ -147,14 +145,15 @@ def test_perf_site_cost_linearity():
 # -- threshold candidates --------------------------------------------------------
 
 
-def stats_from_caps(caps, nodes=None):
+def ev_from_caps(caps, nodes=None, perf=1.0):
+    """A one-scenario evaluation whose capacities are ``caps``; every metric is ``perf``."""
     caps = np.asarray(caps, dtype=float)
     nodes = tuple(range(len(caps))) if nodes is None else tuple(nodes)
-    return CapacityStats(nodes, caps, caps.copy(), caps[None, :])
+    return SubsetEvaluation(nodes, caps, caps.copy(), caps[None, :], perf, perf, perf)
 
 
 def test_candidates_from_distinct_ratios():
-    cands = candidate_thresholds(stats_from_caps([10.0, 1.0, 0.0]))
+    cands = candidate_thresholds(ev_from_caps([10.0, 1.0, 0.0]))
     gammas = [g for g, _ in cands]
     subsets = [sorted(s) for _, s in cands]
     assert gammas == pytest.approx([1.0, 0.1, 0.0])
@@ -162,26 +161,26 @@ def test_candidates_from_distinct_ratios():
 
 
 def test_equal_caps_yield_single_full_candidate():
-    cands = candidate_thresholds(stats_from_caps([2.0, 2.0, 2.0]))
+    cands = candidate_thresholds(ev_from_caps([2.0, 2.0, 2.0]))
     assert len(cands) == 1
     gamma, keep = cands[0]
     assert gamma == 1.0 and keep == frozenset({0, 1, 2})
 
 
 def test_scan_no_improvement_on_equal_caps():
-    stats = stats_from_caps([2.0, 2.0])
+    current = ev_from_caps([2.0, 2.0])
     called = []
 
     def evaluate(nodes):
         called.append(nodes)
         raise AssertionError("must not re-dispatch the unchanged set")
 
-    hit = threshold_scan(stats, frozenset({0, 1}), 0.01, 1.0, evaluate)
+    hit = threshold_scan(current, 0.01, evaluate)
     assert hit is None and called == []
 
 
 def test_scan_picks_largest_improving_gamma():
-    stats = stats_from_caps([10.0, 1.0, 0.5])
+    current = ev_from_caps([10.0, 1.0, 0.5])
     perfs = {
         frozenset({0}): 0.97,  # gamma=1.0 candidate: improves by only 0.03
         frozenset({0, 1}): 0.2,  # gamma=0.1: improves
@@ -193,9 +192,7 @@ def test_scan_picks_largest_improving_gamma():
             self.perf = p
             self.nodes = tuple(sorted(nodes))
 
-    hit = threshold_scan(
-        stats, frozenset({0, 1, 2, 9}), 0.05, 1.0, lambda s: Ev(perfs[s], s)
-    )
+    hit = threshold_scan(current, 0.05, lambda s: Ev(perfs[s], s))
     assert hit is not None
     gamma, ev = hit
     assert gamma == pytest.approx(0.1)
@@ -203,13 +200,14 @@ def test_scan_picks_largest_improving_gamma():
 
 
 def test_scan_logs_candidates_that_do_not_improve(caplog):
-    stats = stats_from_caps([10.0, 1.0])
+    # the gamma = 0 candidate is the current set {0, 1, 2}, which is skipped unlogged
+    current = ev_from_caps([10.0, 1.0, 0.0])
 
     class Ev:
         perf = 0.99
 
     with caplog.at_level(logging.INFO, logger="gridstore.placement"):
-        hit = threshold_scan(stats, frozenset({0, 1, 9}), 0.05, 1.0, lambda s: Ev)
+        hit = threshold_scan(current, 0.05, lambda s: Ev)
     assert hit is None
     assert [r.getMessage() for r in caplog.records] == [
         "threshold 1.0000 rejected: subset [0] perf 0.990000 does not beat 0.950000",
@@ -232,7 +230,7 @@ def test_greedy_dispatches_each_subset_once(monkeypatch):
         if nodes not in caps:
             raise AllScenariosInfeasible(f"subset {sorted(nodes)}")
         s_bar, p = caps[nodes]
-        return SubsetEvaluation(stats_from_caps(s_bar, sorted(nodes)), p, p, p)
+        return ev_from_caps(s_bar, sorted(nodes), p)
 
     monkeypatch.setattr(placement, "evaluate_subset", counting_stub)
     net = Network(buses=[Bus(i, is_slack=(i == 0)) for i in range(4)], lines=[])
@@ -241,7 +239,7 @@ def test_greedy_dispatches_each_subset_once(monkeypatch):
     assert calls == [frozenset({0, 1, 2, 3}), frozenset({0}), frozenset({0, 1})]
     assert [r.nodes for r in state.rounds] == [(0, 1, 2, 3), (0, 1)]
     assert state.gammas == [None, 0.75]
-    assert state.perf_value == 0.5
+    assert state.rounds[-1].perf == 0.5
     # the state keeps greedy's memo: known verdicts come back without a dispatch
     assert state.evaluate(state.nodes) is state.rounds[-1]
     with pytest.raises(AllScenariosInfeasible):
@@ -256,7 +254,7 @@ def test_greedy_relative_epsilon_scales_the_initial_perf(monkeypatch):
     def stub(network, scenario_set, nodes, *args, **kwargs):
         caps = [4.0, 1.0][: len(nodes)]
         p = perfs[frozenset(nodes)]
-        return SubsetEvaluation(stats_from_caps(caps, sorted(nodes)), p, p, p)
+        return ev_from_caps(caps, sorted(nodes), p)
 
     monkeypatch.setattr(placement, "evaluate_subset", stub)
     net = Network(buses=[Bus(i, is_slack=(i == 0)) for i in range(2)], lines=[])
@@ -309,7 +307,7 @@ def test_greedy_within_factor_of_exhaustive_on_chain():
     best_perf, best_set = brute_force_best(net, sset, weights, dispatch)
     assert best_set is not None
     state = greedy_placement(net, sset, weights, dispatch=dispatch, backend="highs")
-    assert state.perf_value <= 1.25 * best_perf + 1e-9
+    assert state.rounds[-1].perf <= 1.25 * best_perf + 1e-9
     # monotone shrink, improvement accounting
     sizes = [len(r.nodes) for r in state.rounds]
     assert sizes == sorted(sizes, reverse=True)
@@ -328,7 +326,7 @@ def test_round_perf_recomputable_from_metrics():
             weights.energy_weight * rec.energy_metric + weights.site_cost * len(rec.nodes),
             abs=1e-12,
         )
-    assert state.perf_value == state.rounds[-1].perf
+    assert state.evaluate(state.nodes) is state.rounds[-1]  # the placement is its own record
 
 
 def test_pruned_nodes_were_below_threshold():
@@ -336,9 +334,9 @@ def test_pruned_nodes_were_below_threshold():
     sset = chain_scenarios(seed=5)
     state = greedy_placement(net, sset, PerfWeights(site_cost=0.05), backend="highs")
     for prev, cur, gamma in zip(state.rounds, state.rounds[1:], state.gammas[1:]):
-        top = max(prev.stats.s_bar_max, default=0.0) if len(prev.stats.s_bar_max) else 0.0
+        top = max(prev.s_bar_max, default=0.0) if len(prev.s_bar_max) else 0.0
         removed = set(prev.nodes) - set(cur.nodes)
-        caps = dict(zip(prev.stats.nodes, prev.stats.s_bar_max))
+        caps = dict(zip(prev.nodes, prev.s_bar_max))
         for node in removed:
             assert caps[node] < gamma * top + 1e-9
 
@@ -360,9 +358,9 @@ def test_zero_fluctuation_prunes_to_empty_set():
     )
     state = greedy_placement(net, sset, PerfWeights(), backend="highs")
     assert state.nodes == frozenset()
-    assert state.perf_value == pytest.approx(0.0, abs=1e-12)
+    assert state.rounds[-1].perf == pytest.approx(0.0, abs=1e-12)
     assert len(state.rounds) == 2  # initial full set, then the empty set
-    assert np.all(state.rounds[0].stats.s_bar_max <= 1e-7)
+    assert np.all(state.rounds[0].s_bar_max <= 1e-7)
     assert [len(r.nodes) for r in state.rounds] == [3, 0]
     assert state.gammas[1] == 1.0  # the threshold that emptied the set
 
@@ -374,9 +372,9 @@ def test_fixed_placement_idempotent_with_greedy_output():
     state = greedy_placement(net, sset, weights, backend="highs")
     if not state.nodes:
         pytest.skip("greedy pruned to empty set on this seed")
-    stats, metrics = evaluate_fixed_placement(net, sset, state.nodes, weights, backend="highs")
-    assert metrics["perf"] == state.perf_value  # same code path, bit-identical
-    assert np.array_equal(stats.s_bar_max, state.stats.s_bar_max)
+    ev, metrics = evaluate_fixed_placement(net, sset, state.nodes, weights, backend="highs")
+    assert metrics["perf"] == state.rounds[-1].perf  # same code path, bit-identical
+    assert np.array_equal(ev.s_bar_max, state.rounds[-1].s_bar_max)
 
 
 def test_fixed_placement_requires_nodes():
@@ -397,8 +395,8 @@ def test_fixed_placement_infeasible_is_reported_cleanly():
     with pytest.raises(AllScenariosInfeasible):
         evaluate_fixed_placement(net, sset, frozenset({2}), PerfWeights(), backend="highs")
     # with storage allowed at the wind bus the same system is fine
-    stats, _ = evaluate_fixed_placement(net, sset, frozenset({0}), PerfWeights(), backend="highs")
-    assert stats.s_bar_max[0] > 0
+    ev, _ = evaluate_fixed_placement(net, sset, frozenset({0}), PerfWeights(), backend="highs")
+    assert ev.s_bar_max[0] > 0
 
 
 def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
@@ -413,11 +411,11 @@ def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
     pad = 1e-6  # float headroom on top of the elementwise max
     for scen in sset.scenarios[:10]:
         prog, idx = build_dispatch_lp(net, scen, cfg)
-        for col, cap in ((idx.s_bar, state.stats.s_bar_max), (idx.ps_bar, state.stats.ps_bar_max)):
+        for col, cap in ((idx.s_bar, state.rounds[-1].s_bar_max), (idx.ps_bar, state.rounds[-1].ps_bar_max)):
             prog.var_lower[col] = prog.var_upper[col] = cap + pad
         sol = decode_solution(idx, cfg, lpmod.solve_with_backend(prog, "highs"))
         assert sol.status is Status.OPTIMAL
-        assert np.allclose(sol.s_bar, state.stats.s_bar_max + pad)
+        assert np.allclose(sol.s_bar, state.rounds[-1].s_bar_max + pad)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -434,9 +432,9 @@ def test_parallel_sweep_matches_serial(backend, jobs):
     finally:
         sys.setswitchinterval(interval)
     assert serial.nodes == parallel.nodes
-    assert serial.perf_value == parallel.perf_value  # bitwise, not approx
-    assert np.array_equal(serial.stats.s_bar_max, parallel.stats.s_bar_max)
-    assert np.array_equal(serial.stats.ps_bar_max, parallel.stats.ps_bar_max)
+    assert serial.rounds[-1].perf == parallel.rounds[-1].perf  # bitwise, not approx
+    assert np.array_equal(serial.rounds[-1].s_bar_max, parallel.rounds[-1].s_bar_max)
+    assert np.array_equal(serial.rounds[-1].ps_bar_max, parallel.rounds[-1].ps_bar_max)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -501,8 +499,9 @@ def test_empty_scenario_set_dispatches_nothing(jobs):
     cfg = DispatchConfig(storage_nodes=frozenset({0, 1}))
     assert solve_all_scenarios(net, empty, cfg, jobs=jobs) == ([], [])
     weights = PerfWeights(site_cost=0.05)
-    stats, metrics = evaluate_fixed_placement(net, empty, {0, 1}, weights, jobs=jobs)
-    assert stats.nodes == (0, 1) and stats.s_bar_max.size == 0
+    ev, metrics = evaluate_fixed_placement(net, empty, {0, 1}, weights, jobs=jobs)
+    assert ev.nodes == (0, 1) and ev.s_bar_max.size == 0
+    assert ev.ps_bar_max.size == 0 and ev.per_scenario_ps_bar.shape == (0, 0)
     assert metrics == {"energy_metric": 0.0, "power_metric": 0.0, "perf": 0.1, "dropped": 0}
 
 
@@ -564,6 +563,21 @@ def test_sweep_ignores_dispatch_order_quickstart(tmp_path, seed, nodes, dropped)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_evaluation_records_its_sweep(tmp_path, jobs):
+    # draw 15 drops scenario s00002 at {1}; the record keeps the other rows
+    cfg, net, sset = quickstart_case(tmp_path, 15)
+    config = replace(cfg.dispatch, storage_nodes=frozenset({1}))
+    solutions, dropped = solve_all_scenarios(net, sset, config, cfg.solver, jobs)
+    ev = evaluate_subset(net, sset, {1}, cfg.weights, cfg.dispatch, cfg.solver, jobs)
+    assert sset.scenarios[2].label == "s00002"
+    assert dropped == [2] and ev.dropped_indices == (2,) and ev.nodes == (1,)
+    rows = np.vstack([sol.ps_bar for sol in solutions])
+    assert np.array_equal(ev.per_scenario_ps_bar, rows)  # bitwise, kept scenarios in index order
+    assert np.array_equal(ev.ps_bar_max, rows.max(axis=0))
+    assert np.array_equal(ev.s_bar_max, np.vstack([sol.s_bar for sol in solutions]).max(axis=0))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_aborted_sweep_verdict_ignores_order(tmp_path, jobs):
     _, net, sset = quickstart_case(tmp_path, 13)  # {1} fails on 3 or more of 30
     cfg = DispatchConfig(storage_nodes=frozenset({1}))
@@ -585,7 +599,7 @@ def test_sweep_rejects_an_order_that_is_not_a_permutation():
 def test_binding_first_order_ranks_by_dropped_ps_bar():
     # scenarios 0, 1, 3 were kept by the parent round; 2 was dropped there
     ps_bar = np.array([[1.0, 0.5, 9.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.5]])
-    parent = SubsetEvaluation(CapacityStats((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar), 1, 1, 1, (2,))
+    parent = SubsetEvaluation((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar, 1, 1, 1, (2,))
     # dropping nodes 4 and 7 leaves loads 9.5, 2.0, 0 and 0.5 on scenarios 0, 1, 2, 3
     assert placement._binding_first_order(parent, frozenset({0}), set(), 4) == [0, 1, 3, 2]
     assert placement._binding_first_order(parent, frozenset({0}), {2, 3}, 4) == [3, 2, 0, 1]
@@ -694,15 +708,15 @@ def test_place_baseline_reuses_greedy_evaluation(monkeypatch, tmp_path):
     nodes = placement.baseline_nodes(network, sset)
     assert nodes in calls and len(calls) == len(set(calls))
 
-    stats, metrics = evaluate_fixed_placement(
+    ev, metrics = evaluate_fixed_placement(
         network, sset, nodes, cfg.weights, cfg.dispatch, cfg.solver, cfg.jobs
     )
     assert report.baseline["nodes"] == sorted(nodes)
     for key in ("energy_metric", "power_metric", "perf"):
         assert report.baseline[key] == metrics[key]
     caps = report.baseline["capacities"]
-    assert [row["s_bar_mwh"] for row in caps] == stats.s_bar_max.tolist()
-    assert [row["ps_bar_mw"] for row in caps] == stats.ps_bar_max.tolist()
+    assert [row["s_bar_mwh"] for row in caps] == ev.s_bar_max.tolist()
+    assert [row["ps_bar_mw"] for row in caps] == ev.ps_bar_max.tolist()
 
 
 def test_place_dispatches_an_untried_baseline_once_after_greedy(monkeypatch, tmp_path):
@@ -774,7 +788,7 @@ def test_place_baseline_reuses_greedy_infeasibility(monkeypatch, tmp_path):
             raise AllScenariosInfeasible("3 of 30 scenarios infeasible for storage set [0]")
         caps = {3: [4.0, 3.0, 2.0], 2: [4.0, 3.0]}[len(nodes)]
         p = 1.0 if len(nodes) == 3 else 0.5
-        return SubsetEvaluation(stats_from_caps(caps, sorted(nodes)), p, p, p)
+        return ev_from_caps(caps, sorted(nodes), p)
 
     monkeypatch.setattr(placement, "evaluate_subset", stub)
     report = runners.run_place(quickstart_config(tmp_path, seed=7))
