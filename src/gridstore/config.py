@@ -18,6 +18,7 @@ ValidationError naming it.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,6 +30,8 @@ from .lp import BACKENDS
 from .matpower import DEFAULT_DT_HOURS
 from .placement import PerfWeights
 from .scenarios import SyntheticParams
+
+logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "GRIDSTORE_"
 
@@ -184,6 +187,13 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     jobs = json_value(merged.get("jobs", 1), "int", "jobs", path)
     if jobs < 1:
         raise ValidationError(f"{path}: jobs must be >= 1")
+    if jobs > 1 and solver == "simplex":
+        logger.warning(
+            "%s: jobs=%d gains nothing with the simplex solver: it runs in Python and "
+            "holds the GIL, so its threads take turns",
+            path,
+            jobs,
+        )
     out_dir = Path(json_value(merged.get("out_dir", "gridstore-out"), "str", "out_dir", path))
     if "out_dir" not in overrides:
         out_dir = path.parent / out_dir  # the file's own out_dir is relative to its folder

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,7 +428,9 @@ class Dispatcher:
     threads may share one Dispatcher.  Raises InfeasibleScenario (with the
     scenario label) when no dispatch satisfies the constraints,
     SolverFailure (naming the scenario and the backend) on any other
-    non-optimal stop.
+    non-optimal stop.  A call's ``stop`` event goes to
+    :func:`lp.solve_with_backend`: once it is set the solve ends early, and
+    the call raises SolverFailure with status ``interrupted``.
     """
 
     def __init__(
@@ -437,11 +440,13 @@ class Dispatcher:
         self.backend = backend
         self.template, self.idx = build_dispatch_lp(network, scenario, config)
 
-    def __call__(self, scenario: Scenario) -> DispatchSolution:
+    def __call__(
+        self, scenario: Scenario, stop: threading.Event | None = None
+    ) -> DispatchSolution:
         prog = retarget_dispatch_lp(self.template, self.idx, scenario)
         label = scenario.label or "<unnamed>"
         try:
-            sol = lpmod.solve_with_backend(prog, self.backend)
+            sol = lpmod.solve_with_backend(prog, self.backend, stop=stop)
         except SolverFailure as exc:
             raise SolverFailure(f"scenario {label} ({self.backend}): {exc}") from exc
         if sol.status is Status.INFEASIBLE:

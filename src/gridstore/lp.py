@@ -52,6 +52,18 @@ workspace that neither ``clearSolver`` nor ``clearModel`` releases (peak
 RSS over the 15 ``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).
 Every answer is bit-identical to a solve on a fresh object.
 
+A solve given a ``stop`` event ends with Status.INTERRUPTED once the event
+is set: the in-repo simplex checks it before every pivot, and HiGHS through
+one Python callback started for its IPM and simplex interrupt checks.  Each
+call of that callback takes the GIL, about 6100 times per T=12 and 10600
+times per T=24 storage-everywhere IPM solve of the three-area network, so
+only a solve with ``stop`` installs one: those on the pool threads of a
+``jobs > 1`` sweep, which stops its abandoned solves this way.  A jobs=1
+sweep and :func:`dispatch.lookahead_dispatch` install none.  The callback
+is dropped when the solve returns, so a reused dual simplex object carries
+none into its next solve.  A never-set ``stop`` moves no answer: on the
+T=12 LP both solves took 0.72 s and returned the same ``x`` bit for bit.
+
 Every solver answers a program without variables the same way and reports
 an infeasible, unbounded or iteration-limited instance as a status, not as
 an exception.  Every optimal ``x`` takes one path, :func:`_optimal`, with
@@ -91,6 +103,7 @@ class Status(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    INTERRUPTED = "interrupted"  # the caller's ``stop`` event was set mid-solve
 
 
 class CsrMatrix:
@@ -460,24 +473,27 @@ class _Tableau:
         self.binv += np.outer(eta, pivot_row)
         self.binv[row, :] = pivot_row * eta[row]
 
-    def run(self, cost: np.ndarray, iter_budget: int, opt_tol: float):
+    def run(self, cost: np.ndarray, iter_budget: int, opt_tol: float, stop=None):
         """Minimize cost from the current basis.
 
-        Returns (outcome, iterations): True optimal, None unbounded ray,
-        False iteration budget exhausted.
+        Returns (outcome, iterations); the outcome is OPTIMAL, UNBOUNDED (a
+        ray), ITERATION_LIMIT, or INTERRUPTED once ``stop`` is set, which is
+        checked before every pivot.
         """
         iters = 0
         stall = 0
         bland = False
         since_refactor = 0
         while iters < iter_budget:
+            if stop is not None and stop.is_set():
+                return Status.INTERRUPTED, iters
             pick = self.entering(cost, opt_tol, bland)
             if pick is None:
-                return True, iters
+                return Status.OPTIMAL, iters
             j, direction = pick
             hit = self.ratio_test(j, direction, bland)
             if hit is None:
-                return None, iters
+                return Status.UNBOUNDED, iters
             step, row, to_upper, d = hit
             self.pivot(j, direction, step, row, to_upper, d)
             iters += 1
@@ -493,7 +509,7 @@ class _Tableau:
                 self.refactor()
                 self.recompute_basic_values()
                 since_refactor = 0
-        return False, iters
+        return Status.ITERATION_LIMIT, iters
 
 
 def solve(
@@ -501,12 +517,14 @@ def solve(
     feas_tol: float = DEFAULT_FEAS_TOL,
     opt_tol: float = DEFAULT_OPT_TOL,
     iter_limit: int | None = None,
+    stop: threading.Event | None = None,
 ) -> LpSolution:
     """Bounded-variable two-phase revised simplex.
 
     Dantzig pricing with a switch to Bland's rule after a degenerate stall;
     statuses follow the instance (OPTIMAL / INFEASIBLE / UNBOUNDED) with
-    ITERATION_LIMIT reported as a status rather than an exception.
+    ITERATION_LIMIT reported as a status rather than an exception, and
+    INTERRUPTED once ``stop`` is set, which is checked before every pivot.
     """
     lp.validate()
     if iter_limit is None:
@@ -521,12 +539,12 @@ def solve(
     if len(tab.art_cols):
         phase1 = np.zeros(tab.n_total)
         phase1[tab.art_cols] = 1.0
-        outcome, iters = tab.run(phase1, iter_limit, opt_tol=1e-10)
+        outcome, iters = tab.run(phase1, iter_limit, 1e-10, stop)
         total_iters += iters
-        if outcome is False:
-            return LpSolution(Status.ITERATION_LIMIT, iterations=total_iters)
-        if outcome is None:
+        if outcome is Status.UNBOUNDED:
             raise SolverFailure("phase 1 reported an unbounded ray")
+        if outcome is not Status.OPTIMAL:
+            return LpSolution(outcome, iterations=total_iters)
         infeas = float(np.abs(tab.values[tab.art_cols]).sum())
         if infeas > feas_tol:
             return LpSolution(Status.INFEASIBLE, iterations=total_iters, max_violation=infeas)
@@ -537,12 +555,10 @@ def solve(
         tab.state[nonbasic_art] = _AT_LOWER
         tab.values[nonbasic_art] = 0.0
 
-    outcome, iters = tab.run(tab.cost, iter_limit - total_iters, opt_tol)
+    outcome, iters = tab.run(tab.cost, iter_limit - total_iters, opt_tol, stop)
     total_iters += iters
-    if outcome is False:
-        return LpSolution(Status.ITERATION_LIMIT, iterations=total_iters)
-    if outcome is None:
-        return LpSolution(Status.UNBOUNDED, iterations=total_iters)
+    if outcome is not Status.OPTIMAL:
+        return LpSolution(outcome, iterations=total_iters)
 
     tab.refactor()
     tab.recompute_basic_values()
@@ -554,7 +570,8 @@ def solve(
 # ---------------------------------------------------------------------------
 
 _HIGHS_SCIPY = "1.15"  # the first scipy that ships _HIGHS_CORE
-_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_PACKAGE = "scipy.optimize._highspy"
+_HIGHS_CORE = _HIGHS_PACKAGE + "._core"
 
 # HiGHS model statuses, by name, that answer the LP; any other is a failure
 _HIGHS_STATUS = {
@@ -564,6 +581,8 @@ _HIGHS_STATUS = {
     "kIterationLimit": Status.ITERATION_LIMIT,
     "kTimeLimit": Status.ITERATION_LIMIT,
     "kUnbounded": Status.UNBOUNDED,
+    "kInterrupt": Status.INTERRUPTED,
+    "kHighsInterrupt": Status.INTERRUPTED,
 }
 
 
@@ -573,9 +592,17 @@ _HIGHS_LOCK = threading.Lock()
 def _highs():
     """scipy's bundled HiGHS bindings, loaded once: by the first thread that
     asks, while the others wait on the lock and then take its module.
+
+    The import system binds a module on its package only when it loads the
+    module itself, so once ``scipy.optimize`` has been imported after a
+    direct load, this binds the bindings as ``scipy.optimize._highspy._core``.
     """
     with _HIGHS_LOCK:
-        return sys.modules.get(_HIGHS_CORE) or _load_highs()
+        core = sys.modules.get(_HIGHS_CORE) or _load_highs()
+        package = sys.modules.get(_HIGHS_PACKAGE)
+        if package is not None and "_core" not in vars(package):
+            package._core = core
+        return core
 
 
 def _load_highs():
@@ -681,14 +708,16 @@ def _highs_solver(ipm: bool, name: str):
     return highs
 
 
-def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
+def _run_highs(lp: LinearProgram, ipm: bool, stop: threading.Event | None = None) -> LpSolution:
     """Solve ``lp`` with HiGHS dual simplex, as ``milp`` runs it, or interior point.
 
     The program goes to HiGHS in one ``passModel`` call on its own arrays,
     whose lengths :meth:`LinearProgram.validate` has checked: the bindings
     read the counts they are given and check no length.  Interior point
     runs on :class:`_IpmRows`' split, built per solve, as ``linprog`` runs
-    it, so that its ``x`` is bit-identical to linprog's.
+    it, so that its ``x`` is bit-identical to linprog's.  With ``stop``,
+    the solve carries an interrupt callback until it returns (see the
+    module docstring), and ends INTERRUPTED once ``stop`` is set.
     """
     lp.validate()
     if lp.n_vars == 0:
@@ -712,7 +741,21 @@ def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
     )
     if passed == h.HighsStatus.kError:
         raise SolverFailure(f"{name} rejected the model")
-    if highs.run() == h.HighsStatus.kError:
+    if stop is not None:
+
+        def interrupt(kind, message, data_out, data_in, user_data):
+            if stop.is_set():
+                data_in.user_interrupt = True
+
+        highs.setCallback(interrupt, None)
+        highs.startCallback(h.cb.HighsCallbackType.kCallbackIpmInterrupt)
+        highs.startCallback(h.cb.HighsCallbackType.kCallbackSimplexInterrupt)
+    try:
+        ran = highs.run()
+    finally:
+        if stop is not None:
+            highs.setCallback(None, None)  # drops the callback and stops both kinds
+    if ran == h.HighsStatus.kError:
         raise SolverFailure(f"{name} failed with model status {highs.getModelStatus().name}")
     status = _highs_status(highs.getModelStatus(), name)
     _, iterations = highs.getInfoValue("simplex_iteration_count")
@@ -725,15 +768,15 @@ def _run_highs(lp: LinearProgram, ipm: bool) -> LpSolution:
     return _optimal(lp, x, iterations, name, DEFAULT_FEAS_TOL)
 
 
-def solve_highs(lp: LinearProgram) -> LpSolution:
+def solve_highs(lp: LinearProgram, stop: threading.Event | None = None) -> LpSolution:
     """HiGHS dual simplex, as ``milp`` runs it; same result contract as :func:`solve`.
 
     ``iterations`` is HiGHS's simplex iteration count.
     """
-    return _run_highs(lp, ipm=False)
+    return _run_highs(lp, False, stop)
 
 
-def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
+def solve_highs_ipm(lp: LinearProgram, stop: threading.Event | None = None) -> LpSolution:
     """HiGHS interior point (with crossover), as ``linprog(method="highs-ipm")`` runs it.
 
     Much faster than simplex on large time-coupled instances with highly
@@ -741,16 +784,24 @@ def solve_highs_ipm(lp: LinearProgram) -> LpSolution:
     ``iterations`` is HiGHS's simplex (crossover) iteration count, or its
     IPM count when crossover made none.
     """
-    return _run_highs(lp, ipm=True)
+    return _run_highs(lp, True, stop)
 
 
 BACKENDS = {"simplex": solve, "highs": solve_highs, "highs-ipm": solve_highs_ipm}
 
 
-def solve_with_backend(lp: LinearProgram, backend: str = "simplex") -> LpSolution:
+def solve_with_backend(
+    lp: LinearProgram, backend: str = "simplex", stop: threading.Event | None = None
+) -> LpSolution:
+    """Solve ``lp`` with the backend named ``backend``.
+
+    Once ``stop`` is set, a solve still running ends with Status.INTERRUPTED
+    and no ``x``: the in-repo simplex checks it before every pivot, HiGHS at
+    its IPM and simplex interrupt callbacks.  Without ``stop`` no check is
+    made and no callback installed.
+    """
     try:
         fn = BACKENDS[backend]
     except KeyError:
         raise ValidationError(f"unknown LP backend {backend!r}") from None
-    return fn(lp)
-
+    return fn(lp, stop=stop)

@@ -13,7 +13,9 @@ the placement plus a fixed charge per occupied site.
 
 from __future__ import annotations
 
+import functools
 import logging
+import threading
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -89,7 +91,9 @@ def normalized_energy_capacity(
 # ---------------------------------------------------------------------------
 
 
-def _outcome(dispatch: Dispatcher, scenario: Scenario) -> DispatchSolution | Exception:
+def _outcome(
+    dispatch: Callable[[Scenario], DispatchSolution], scenario: Scenario
+) -> DispatchSolution | Exception:
     """The scenario's solution, or the exception its dispatch raised."""
     try:
         return dispatch(scenario)
@@ -102,12 +106,17 @@ def _pool_arrivals(dispatch: Dispatcher, scenarios, jobs: int, order):
     results arrive.
 
     A thread gets its next scenario only once its last result has been
-    yielded, so closing the generator leaves at most ``jobs - 1`` solves
-    running; they finish in the background and their results are dropped.
+    yielded, so when the generator closes, on the sweep's verdict, an error
+    or its last result, at most ``jobs - 1`` solves are still running.
+    Closing sets the sweep's ``stop`` event, which every solve of the sweep
+    carries, so those solves end at their next interrupt check, and then
+    joins the threads: none is alive once the generator has closed.
     """
+    stop = threading.Event()
+    solve = functools.partial(dispatch, stop=stop)
 
     def run(i):
-        return i, _outcome(dispatch, scenarios[i])
+        return i, _outcome(solve, scenarios[i])
 
     todo = iter(order)
     pool = ThreadPoolExecutor(jobs, "gridstore-dispatch")
@@ -119,7 +128,8 @@ def _pool_arrivals(dispatch: Dispatcher, scenarios, jobs: int, order):
                 yield future.result()
                 running.update(pool.submit(run, i) for i in islice(todo, 1))
     finally:
-        pool.shutdown(wait=False)
+        stop.set()
+        pool.shutdown(wait=True)
 
 
 def solve_all_scenarios(
@@ -149,8 +159,9 @@ def solve_all_scenarios(
     the exception its dispatch raised.  An InfeasibleScenario counts toward
     the abort; any other exception is raised here.  When the sweep ends
     early, by its verdict or by any error, no further scenario starts; the
-    at most ``jobs - 1`` solves still running finish in the background, and
-    their results are dropped.
+    at most ``jobs - 1`` solves still running are interrupted and their
+    results dropped.  Every pool thread has ended by the time this returns
+    or raises.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -154,3 +155,12 @@ def test_run_config_names_the_file_and_field_out_of_range(tmp_path, name):
     path = write_config(tmp_path, **OUT_OF_RANGE[name])
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {name} must be"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("solver, jobs, warned", [("simplex", 2, 1), ("simplex", 1, 0), ("highs", 2, 0)])
+def test_threads_of_the_simplex_solver_are_warned_about(caplog, solver, jobs, warned):
+    with caplog.at_level(logging.WARNING, logger="gridstore"):
+        load_run_config(CASES / "quickstart_place.json", {"solver": solver, "jobs": jobs})
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == warned
+    assert all("holds the GIL" in m for m in messages)

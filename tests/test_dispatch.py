@@ -228,11 +228,11 @@ def test_infeasible_without_storage_raises_with_label():
     assert "rampy" in str(err.value)
 
 
-def _iteration_limit(prog, backend):
+def _iteration_limit(prog, backend, stop=None):
     return LpSolution(Status.ITERATION_LIMIT)
 
 
-def _backend_error(prog, backend):
+def _backend_error(prog, backend, stop=None):
     raise SolverFailure("HiGHS IPM stopped with status 4: model error")
 
 
@@ -404,8 +404,8 @@ def test_dispatch_carries_the_lp_iterations_and_residual(backend, monkeypatch):
     seen = []
     solve = lpmod.solve_with_backend
 
-    def record(prog, name):
-        seen.append(solve(prog, name))
+    def record(prog, name, stop=None):
+        seen.append(solve(prog, name, stop=stop))
         return seen[-1]
 
     monkeypatch.setattr(lpmod, "solve_with_backend", record)

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -450,9 +451,9 @@ def test_highs_backends_match_scipy_wrappers_on_a_placement(tmp_path, monkeypatc
         seen = []
         solve_fn = lpmod.BACKENDS[backend]
 
-        def record(lp, solve_fn=solve_fn, seen=seen):
+        def record(lp, stop=None, solve_fn=solve_fn, seen=seen):
             copy = copy_program(lp)
-            sol = solve_fn(lp)
+            sol = solve_fn(lp, stop=stop)
             seen.append((copy, sol))
             return sol
 
@@ -550,7 +551,10 @@ def test_highs_status_table_matches_scipy():
 
     for model_status in lpmod._highs().HighsModelStatus.__members__.values():
         code, _ = _highs_to_scipy_status_message(model_status, "")
-        if code in SCIPY_STATUS:
+        if model_status.name in ("kInterrupt", "kHighsInterrupt"):
+            # scipy installs no interrupt callback, so it has no code for these
+            assert lpmod._highs_status(model_status, "HiGHS") is Status.INTERRUPTED
+        elif code in SCIPY_STATUS:
             assert lpmod._highs_status(model_status, "HiGHS") is SCIPY_STATUS[code]
         else:
             with pytest.raises(SolverFailure):
@@ -633,6 +637,26 @@ def test_highs_bindings_load_without_scipy_optimize():
     lp = dense_lp()
     in_process = [solve_highs(lp).x, solve_highs_ipm(lp).x, linprog_highs(lp).x]
     assert run.stdout.split() == [x.tobytes().hex() for x in in_process]
+
+
+# scipy.optimize imported after the direct load: the import system binds no
+# _core attribute on the package, so the next solve binds it
+BIND_AFTER_IMPORT = """
+import sys
+import gridstore.lp as lpmod
+from test_lp import dense_lp, linprog_highs
+
+lpmod.solve_with_backend(dense_lp(), "highs")
+import scipy.optimize
+lpmod.solve_with_backend(dense_lp(), "highs")
+assert scipy.optimize._highspy._core is sys.modules["scipy.optimize._highspy._core"]
+print(linprog_highs(dense_lp()).x.tobytes().hex())
+"""
+
+
+def test_highs_bindings_bound_on_their_package_after_scipy_optimize():
+    run = run_fresh(BIND_AFTER_IMPORT)
+    assert run.stdout.split() == [linprog_highs(dense_lp()).x.tobytes().hex()]
 
 
 # Two threads make the process's first HiGHS solves at once, each loading the bindings.
@@ -774,6 +798,67 @@ def test_max_violation_is_the_row_residual_of_x(backend):
         rows = np.concatenate([[0.0], lp.row_lower - act, act - lp.row_upper])
         assert sol.max_violation == rows.max()
     assert solved >= 10
+
+
+@pytest.mark.parametrize("backend", sorted(lpmod.BACKENDS))
+def test_a_set_stop_interrupts_every_backend(backend):
+    stop = threading.Event()
+    stop.set()
+    sol = solve_with_backend(dense_lp(), backend, stop=stop)
+    assert sol.status is Status.INTERRUPTED and sol.x is None
+
+
+@pytest.mark.parametrize("backend", sorted(lpmod.BACKENDS))
+def test_an_unset_stop_moves_no_answer_of_a_placement(tmp_path, monkeypatch, backend):
+    solve_fn, solved = lpmod.BACKENDS[backend], []
+
+    def both(lp, stop=None):
+        plain = solve_fn(copy_program(lp))
+        sol = solve_fn(lp, stop=threading.Event())
+        assert solution_bits(sol) == solution_bits(plain)
+        solved.append(sol.status)
+        return sol
+
+    monkeypatch.setitem(lpmod.BACKENDS, backend, both)
+    overrides = {"seed": 7, "jobs": 1, "solver": backend, "out_dir": str(tmp_path)}
+    run_place(load_run_config(CASES / "quickstart_place.json", overrides))
+    assert len(solved) > 50 and Status.OPTIMAL in solved
+
+
+def rts_storage_everywhere_lp():
+    """The storage-everywhere LP of the first scenario of the ``rts_greedy`` benchmark draw."""
+    from gridstore.matpower import import_matpower_document
+    from gridstore.network import with_renewable_node
+    from gridstore.scenarios import SyntheticParams, generate_synthetic
+
+    doc = import_matpower_document(CASES / "rts96_3area.m")
+    net = doc.network
+    for bus_name, cap in (("107", 600.0), ("215", 1800.0), ("317", 1200.0)):
+        at = next(b.id for b in net.buses if b.name == bus_name)
+        net = with_renewable_node(net, at, cap, line_reactance=0.02, line_limit=1.2 * cap)
+    base_load = np.concatenate([doc.base_load, np.zeros(3)])
+    params = SyntheticParams(
+        n_scenarios=4, penetration_target=0.25, seed=1, volatility=0.07, ramp_event_prob=0.4
+    )
+    sset = generate_synthetic(net, base_load, params, dt_hours=1.0 / 12.0, n_steps=12)
+    cfg = DispatchConfig(storage_nodes=frozenset(range(net.n_buses)))
+    return build_dispatch_lp(net, sset.scenarios[0], cfg)[0]
+
+
+def test_an_unset_stop_moves_no_ipm_answer_on_the_three_area_network():
+    lp = rts_storage_everywhere_lp()
+    sol = solve_highs_ipm(lp, stop=threading.Event())
+    assert sol.status is Status.OPTIMAL
+    assert solution_bits(sol) == solution_bits(solve_highs_ipm(lp))
+
+
+def test_a_stopped_solve_leaves_no_callback_on_the_cached_object(monkeypatch):
+    stop = threading.Event()
+    stop.set()
+    assert solve_highs(dense_lp(), stop=stop).status is Status.INTERRUPTED
+    sol = solve_highs(dense_lp())  # the same thread, so the same HiGHS object
+    assert sol.status is Status.OPTIMAL
+    assert solution_bits(sol) == solution_bits(on_a_new_object(monkeypatch, solve_highs, dense_lp()))
 
 
 def test_backend_registry():

@@ -585,6 +585,7 @@ def test_aborted_sweep_verdict_ignores_order(tmp_path, jobs):
     for order in orders_to_try(net, sset, {1}).values():
         with pytest.raises(AllScenariosInfeasible) as err:
             solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs, order=order)
+        assert dispatch_threads() == []  # the dropped solves were stopped and joined
         assert len(err.value.infeasible) == 3
         messages.add(str(err.value))
     assert messages == {"3 of 30 scenarios infeasible for storage set [1] (stopped early)"}
@@ -626,33 +627,28 @@ def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_pat
 
 
 def test_worker_failure_ends_the_sweep_at_once(monkeypatch):
-    # the first LP any thread solves fails; every other one waits until the test ends
+    # the first LP any thread solves fails; every other one waits until its sweep stops it
     net = chain_network()
     sset = chain_scenarios(n=6, seed=31)
     lock, calls = threading.Lock(), []
-    release = threading.Event()
     solve = lpmod.solve_with_backend
 
-    def failing_once(prog, backend):
+    def failing_once(prog, backend, stop=None):
         with lock:
             calls.append(prog)
             mine = len(calls) == 1
         if mine:
             return LpSolution(Status.ITERATION_LIMIT)
-        release.wait(60)
-        return solve(prog, backend)
+        stop.wait(60)
+        return solve(prog, backend, stop=stop)
 
     monkeypatch.setattr(lpmod, "solve_with_backend", failing_once)
     cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}))
     start = time.monotonic()
-    try:
-        with pytest.raises(SolverFailure, match=r"^scenario s\d+ \(highs\): .* iteration_limit$"):
-            solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
-        assert time.monotonic() - start < 10
-    finally:
-        release.set()
-    for thread in dispatch_threads():
-        thread.join(10)
+    with pytest.raises(SolverFailure, match=r"^scenario s\d+ \(highs\): .* iteration_limit$"):
+        solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
+    assert time.monotonic() - start < 10
+    assert dispatch_threads() == []
     assert len(calls) == 2  # the failed LP and the one left running: none started after the failure
     assert multiprocessing.active_children() == []
 
@@ -678,9 +674,7 @@ def test_aborting_pool_sweeps_do_not_hang():
             with pytest.raises(AllScenariosInfeasible):
                 solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
             assert multiprocessing.active_children() == []
-        for thread in dispatch_threads():
-            thread.join(10)
-        assert dispatch_threads() == []
+            assert dispatch_threads() == []  # no join: the sweep joined its threads
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
