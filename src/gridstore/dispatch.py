@@ -227,7 +227,6 @@ class _Rows:
 
 @dataclass(eq=False)
 class DispatchSolution:
-    status: Status
     pg: np.ndarray  # (T, n_gen) MW
     ps: np.ndarray  # (T, n_store) MW, positive discharging
     soc: np.ndarray  # (T+1, n_store) MWh
@@ -401,7 +400,6 @@ def decode_solution(
         config.storage_energy_cost * s_bar.sum() + config.storage_power_cost * ps_bar.sum()
     )
     return DispatchSolution(
-        status=sol.status,
         pg=pg,
         ps=ps,
         soc=soc,

@@ -43,14 +43,15 @@ The HiGHS adapter keeps no model between solves.  Each LP goes to HiGHS in
 one ``passModel`` call that takes the counts and the program's own numpy
 arrays: 25-39 us on a quickstart LP (219 x 81, 928 nonzeros), where
 filling the bindings' LP object copies the matrix item by item and takes
-170 us (best of 5 x 200 calls, 2-core Xeon).  Dual simplex reuses one
-HiGHS object per thread, which ``passModel`` resets to a cold start; a new
-object with its options would add 61-91 us to every LP.  HiGHS releases the
-GIL while it solves, so a sweep's threads solve at once.  Interior point
-takes a fresh HiGHS object per LP: a reused one keeps about 10 MB of IPM
-workspace that neither ``clearSolver`` nor ``clearModel`` releases (peak
-RSS over the 15 ``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).
-Every answer is bit-identical to a solve on a fresh object.
+170 us (best of 5 x 200 calls, 2-core Xeon).  Dual simplex makes one HiGHS
+object per thread, on its first LP, and keeps it in ``_DUAL_SIMPLEX``, a
+``threading.local``; ``passModel`` resets it to a cold start, and a new
+object would add 61-91 us to every LP.  HiGHS releases the GIL while it
+solves, so a sweep's threads solve at once.  Interior point makes a new
+object per LP: a reused one keeps about 10 MB of IPM workspace that neither
+``clearSolver`` nor ``clearModel`` releases (peak RSS over the 15
+``rts_greedy`` LPs in one process, 85.5 against 75.2 MB).  Every answer is
+bit-identical to a solve on a new object.
 
 A solve given a ``stop`` event ends with Status.INTERRUPTED once the event
 is set: the in-repo simplex checks it before every pivot, and HiGHS through
@@ -572,6 +573,7 @@ def solve(
 _HIGHS_SCIPY = "1.15"  # the first scipy that ships _HIGHS_CORE
 _HIGHS_PACKAGE = "scipy.optimize._highspy"
 _HIGHS_CORE = _HIGHS_PACKAGE + "._core"
+_HIGHS_NAME = ("HiGHS", "HiGHS IPM")  # by ``ipm``, in every error message
 
 # HiGHS model statuses, by name, that answer the LP; any other is a failure
 _HIGHS_STATUS = {
@@ -678,33 +680,16 @@ class _IpmRows:
         return row_lower, row_upper
 
 
-def _per_thread(make):
-    """``functools.cache`` for ``make``, with one cache per thread."""
-    local = threading.local()
-
-    @functools.wraps(make)
-    def cached(*args):
-        made = local.__dict__.setdefault("made", {})
-        if args not in made:
-            made[args] = make(*args)
-        return made[args]
-
-    return cached
+_DUAL_SIMPLEX = threading.local()  # .highs: this thread's dual simplex object, made on first use
 
 
-@_per_thread
-def _highs_solver(ipm: bool, name: str):
-    """A HiGHS object with the method's options, made once per method and thread.
-
-    No two threads share one: an object holds one model and one solve.
-    Dual simplex reuses this thread's object for every LP; interior point
-    takes a fresh one per LP from ``_highs_solver.__wrapped__`` (see the
-    module docstring).
-    """
+def _new_highs(ipm: bool):
+    """A new HiGHS object with the options of interior point or dual simplex;
+    no two threads share one, as an object holds one model and one solve."""
     h = _highs()
     highs = h._Highs()
     if highs.passOptions(_highs_options(ipm)) == h.HighsStatus.kError:
-        raise SolverFailure(f"{name} rejected its options")
+        raise SolverFailure(f"{_HIGHS_NAME[ipm]} rejected its options")
     return highs
 
 
@@ -723,15 +708,17 @@ def _run_highs(lp: LinearProgram, ipm: bool, stop: threading.Event | None = None
     if lp.n_vars == 0:
         return _empty_program(lp)
     h = _highs()
-    name = "HiGHS IPM" if ipm else "HiGHS"
+    name = _HIGHS_NAME[ipm]
     if ipm:
         rows = _IpmRows(lp)
         A = rows.matrix(lp)
         row_lower, row_upper = rows.bounds(lp)
-        highs = _highs_solver.__wrapped__(True, name)
+        highs = _new_highs(True)
     else:
         A, row_lower, row_upper = lp.A, lp.row_lower, lp.row_upper
-        highs = _highs_solver(False, name)
+        if not hasattr(_DUAL_SIMPLEX, "highs"):
+            _DUAL_SIMPLEX.highs = _new_highs(False)
+        highs = _DUAL_SIMPLEX.highs
     passed = highs.passModel(
         lp.n_vars, A.shape[0], A.nnz,
         int(h.MatrixFormat.kRowwise), int(h.ObjSense.kMinimize), 0.0,  # ints: no enum is taken

@@ -55,6 +55,14 @@ def perf(nodes, energy_metric: float, weights: PerfWeights) -> float:
     return weights.energy_weight * energy_metric + weights.site_cost * len(nodes)
 
 
+def _normalized_capacity(uses, scenarios: list[Scenario], span: int, quantity: str) -> float:
+    """The worst of ``uses`` over the worst ``fluctuation_spans[span]`` of ``scenarios``."""
+    den = max([0.0] + [scen.fluctuation_spans[span] for scen in scenarios])
+    if den <= _ZERO_CAP_TOL:
+        raise ZeroFluctuationDenominator(f"renewables never fluctuate in {quantity}")
+    return max([0.0, *uses]) / den
+
+
 def normalized_power_capacity(
     solutions: list[DispatchSolution], scenarios: list[Scenario]
 ) -> float:
@@ -62,28 +70,16 @@ def normalized_power_capacity(
 
     Numerator and denominator are each aggregated as the max over scenarios.
     """
-    den = max([0.0] + [scen.fluctuation_spans[0] for scen in scenarios])
-    if den <= _ZERO_CAP_TOL:
-        raise ZeroFluctuationDenominator("renewables never fluctuate in power")
-    num = 0.0
-    for sol in solutions:
-        if sol.ps.size:
-            num = max(num, float(np.abs(sol.ps).max(axis=0).sum()))
-    return num / den
+    uses = (float(np.abs(sol.ps).max(axis=0).sum()) for sol in solutions if sol.ps.size)
+    return _normalized_capacity(uses, scenarios, 0, "power")
 
 
 def normalized_energy_capacity(
     solutions: list[DispatchSolution], scenarios: list[Scenario]
 ) -> float:
     """Worst-case total state-of-charge swing over the worst-case fluctuation energy."""
-    den = max([0.0] + [scen.fluctuation_spans[1] for scen in scenarios])
-    if den <= _ZERO_CAP_TOL:
-        raise ZeroFluctuationDenominator("renewables never fluctuate in energy")
-    num = 0.0
-    for sol in solutions:
-        if sol.soc.size:
-            num = max(num, float((sol.soc.max(axis=0) - sol.soc.min(axis=0)).sum()))
-    return num / den
+    swings = (sol.soc.max(axis=0) - sol.soc.min(axis=0) for sol in solutions if sol.soc.size)
+    return _normalized_capacity((float(s.sum()) for s in swings), scenarios, 1, "energy")
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +370,14 @@ def threshold_scan(current: SubsetEvaluation, epsilon: float, evaluate):
 def _binding_first_order(
     parent: SubsetEvaluation, nodes: frozenset, infeasible: set[int], n_scenarios: int
 ) -> list[int]:
-    """Dispatch order for ``nodes``, a candidate subset of ``parent.nodes``.
+    """Dispatch order for a sweep over ``nodes``, any node set (a candidate or the baseline).
 
     Scenarios in ``infeasible`` (found infeasible by an earlier sweep) go
-    first.  The rest of the order ranks scenarios by the total ps_bar they
-    placed in the parent round (the rows of ``parent.per_scenario_ps_bar``)
-    on the nodes the candidate drops, largest first, since they lean hardest
-    on the storage the candidate takes away.  Ties, and scenarios the parent
-    round dropped, go in index order.
+    first.  The rest rank by the total ps_bar they placed in the parent round
+    (the rows of ``parent.per_scenario_ps_bar``) on the parent's nodes outside
+    ``nodes``, which count as dropped, largest first: they lean hardest on the
+    storage taken away.  Ties, and scenarios the parent round dropped, go in
+    index order.  No output depends on the order.
     """
     kept = np.setdiff1d(np.arange(n_scenarios), parent.dropped_indices)
     gone = [k for k, b in enumerate(parent.nodes) if b not in nodes]

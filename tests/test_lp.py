@@ -442,7 +442,7 @@ def solution_bits(sol):
 def on_a_new_object(monkeypatch, solve_fn, lp):
     """``solve_fn(lp)`` on a HiGHS object that has solved nothing before."""
     with monkeypatch.context() as m:
-        m.setattr(lpmod, "_highs_solver", functools.cache(lpmod._highs_solver.__wrapped__))
+        m.setattr(lpmod, "_DUAL_SIMPLEX", threading.local())  # dual simplex makes a new one
         return solve_fn(lp)
 
 
@@ -522,10 +522,10 @@ def test_shared_dual_simplex_object_answers_as_a_new_one(monkeypatch):
     def solve_on(highs, lp, limit):
         highs.setOptionValue("simplex_iteration_limit", limit)
         with monkeypatch.context() as m:
-            m.setattr(lpmod, "_highs_solver", lambda ipm, name: highs)
+            m.setattr(lpmod, "_DUAL_SIMPLEX", SimpleNamespace(highs=highs))
             return solve_highs(lp)
 
-    new_object = functools.partial(lpmod._highs_solver.__wrapped__, False, "HiGHS")
+    new_object = functools.partial(lpmod._new_highs, False)
     shared = new_object()
     rng = np.random.default_rng(5)
     sweep = surplus_sweep()
@@ -544,6 +544,33 @@ def test_shared_dual_simplex_object_answers_as_a_new_one(monkeypatch):
         got = solve_on(shared, lp, limit)
         assert status is None or got.status is status
         assert solution_bits(got) == solution_bits(solve_on(new_object(), lp, limit))
+
+
+def test_dual_simplex_keeps_one_object_per_thread_and_ipm_a_new_one_per_lp(monkeypatch):
+    made, held = [], []
+    make = lpmod._new_highs
+
+    def counting_make(ipm):
+        made.append(ipm)
+        return make(ipm)
+
+    def two_simplex_solves():
+        for _ in range(2):
+            assert solve_highs(dense_lp()).status is Status.OPTIMAL
+            held.append(lpmod._DUAL_SIMPLEX.highs)
+
+    monkeypatch.setattr(lpmod, "_new_highs", counting_make)
+    for _ in range(2):  # two new threads, one after the other
+        thread = threading.Thread(target=two_simplex_solves)
+        thread.start()
+        thread.join()
+    assert made == [False, False]  # one per thread, on its first LP
+    assert held[0] is held[1] and held[2] is held[3] and held[0] is not held[2]
+    mine = getattr(lpmod._DUAL_SIMPLEX, "highs", None)
+    for _ in range(2):
+        assert solve_highs_ipm(dense_lp()).status is Status.OPTIMAL
+    assert made == [False, False, True, True]
+    assert getattr(lpmod._DUAL_SIMPLEX, "highs", None) is mine  # interior point leaves the slot alone
 
 
 def test_highs_status_table_matches_scipy():
@@ -568,7 +595,7 @@ def test_highs_limit_is_a_status(monkeypatch, limit):
     setattr(options, limit, 0)
     monkeypatch.setattr(lpmod, "_highs_options", lambda ipm: options)
     # a new dual simplex object, made with these options
-    monkeypatch.setattr(lpmod, "_highs_solver", functools.cache(lpmod._highs_solver.__wrapped__))
+    monkeypatch.setattr(lpmod, "_DUAL_SIMPLEX", threading.local())
     sol = solve_highs(dense_lp())
     assert sol.status is Status.ITERATION_LIMIT and sol.x is None
 
@@ -776,9 +803,9 @@ def first_nan(x):
 def test_highs_rejects_a_doctored_optimal_x(backend, doctor, monkeypatch):
     lp = surplus_sweep()[0]  # balance rows are equalities, so any move of x misses one
     assert solve_with_backend(lp, backend).status is Status.OPTIMAL
-    make = lpmod._highs_solver.__wrapped__
-    doctored = functools.cache(lambda ipm, name: DoctoredHighs(make(ipm, name), doctor))
-    monkeypatch.setattr(lpmod, "_highs_solver", doctored)
+    make = lpmod._new_highs
+    monkeypatch.setattr(lpmod, "_new_highs", lambda ipm: DoctoredHighs(make(ipm), doctor))
+    monkeypatch.setattr(lpmod, "_DUAL_SIMPLEX", threading.local())  # dual simplex makes a doctored one
     with pytest.raises(SolverFailure, match="HiGHS"):
         solve_with_backend(lp, backend)
 

@@ -60,7 +60,6 @@ def fake_solution(ps, soc, nodes=(0,)):
     soc = np.atleast_2d(np.asarray(soc, dtype=float))
     T = ps.shape[0]
     return DispatchSolution(
-        status=Status.OPTIMAL,
         pg=np.zeros((T, 0)),
         ps=ps,
         soc=soc,
@@ -413,8 +412,9 @@ def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
         prog, idx = build_dispatch_lp(net, scen, cfg)
         for col, cap in ((idx.s_bar, state.rounds[-1].s_bar_max), (idx.ps_bar, state.rounds[-1].ps_bar_max)):
             prog.var_lower[col] = prog.var_upper[col] = cap + pad
-        sol = decode_solution(idx, cfg, lpmod.solve_with_backend(prog, "highs"))
-        assert sol.status is Status.OPTIMAL
+        solved = lpmod.solve_with_backend(prog, "highs")
+        assert solved.status is Status.OPTIMAL
+        sol = decode_solution(idx, cfg, solved)
         assert np.allclose(sol.s_bar, state.rounds[-1].s_bar_max + pad)
 
 
@@ -435,6 +435,27 @@ def test_parallel_sweep_matches_serial(backend, jobs):
     assert serial.rounds[-1].perf == parallel.rounds[-1].perf  # bitwise, not approx
     assert np.array_equal(serial.rounds[-1].s_bar_max, parallel.rounds[-1].s_bar_max)
     assert np.array_equal(serial.rounds[-1].ps_bar_max, parallel.rounds[-1].ps_bar_max)
+
+
+@pytest.mark.parametrize("jobs, n", [(1, 5), (2, 1)])
+def test_serial_sweep_solves_on_the_calling_thread_without_stop(monkeypatch, jobs, n):
+    # jobs=1, or a single scenario, takes no pool: no thread and no interrupt callback
+    net = chain_network()
+    sset = chain_scenarios(n=n, seed=31)
+    cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}))
+    calls = []
+    solve = lpmod.solve_with_backend
+
+    def recording(prog, backend, stop=None):
+        calls.append((threading.current_thread(), stop))
+        return solve(prog, backend, stop=stop)
+
+    monkeypatch.setattr(lpmod, "solve_with_backend", recording)
+    for order in (None, list(range(n))[::-1]):
+        calls.clear()
+        solutions, dropped = solve_all_scenarios(net, sset, cfg, "highs", jobs, order=order)
+        assert dropped == [] and len(solutions) == n
+        assert calls == [(threading.current_thread(), None)] * n
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -518,21 +539,30 @@ def quickstart_case(tmp_path, seed):
     return cfg, network, runners.build_scenarios(cfg, network, base_load)
 
 
-def orders_to_try(network, sset, nodes):
-    """Index, reversed and binding-first order for a sweep over ``nodes``."""
+def orders_to_try(network, sset, nodes, parent_nodes=None):
+    """Index, reversed and binding-first order for a sweep over ``nodes``,
+    ranked from the sweep over ``parent_nodes`` (every bus by default)."""
     n = len(sset)
-    parent = evaluate_subset(
-        network, sset, range(network.n_buses), PerfWeights(), DispatchConfig()
-    )
+    if parent_nodes is None:
+        parent_nodes = range(network.n_buses)
+    parent = evaluate_subset(network, sset, parent_nodes, PerfWeights(), DispatchConfig())
     binding = placement._binding_first_order(parent, frozenset(nodes), set(), n)
     return {"index": None, "reversed": list(range(n))[::-1], "binding": binding}
 
 
-def assert_sweep_ignores_order(network, sset, nodes):
+def assert_evaluations_equal(a, b):
+    assert a.nodes == b.nodes and a.dropped_indices == b.dropped_indices
+    for field in ("s_bar_max", "ps_bar_max", "per_scenario_ps_bar"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))  # bitwise
+    assert (a.energy_metric, a.power_metric, a.perf) == (b.energy_metric, b.power_metric, b.perf)
+
+
+def assert_sweep_ignores_order(network, sset, nodes, parent_nodes=None):
     cfg = DispatchConfig(storage_nodes=frozenset(nodes))
     want, want_dropped = solve_all_scenarios(network, sset, cfg, backend="highs")
+    want_ev = evaluate_subset(network, sset, nodes, PerfWeights(), DispatchConfig())
     for jobs in (1, 2):
-        for name, order in orders_to_try(network, sset, nodes).items():
+        for name, order in orders_to_try(network, sset, nodes, parent_nodes).items():
             got, dropped = solve_all_scenarios(
                 network, sset, cfg, backend="highs", jobs=jobs, order=order
             )
@@ -542,6 +572,10 @@ def assert_sweep_ignores_order(network, sset, nodes):
                 for field in ("pg", "ps", "soc", "s_bar", "ps_bar"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (jobs, name)
                 assert a.objective == b.objective
+            ev = evaluate_subset(
+                network, sset, nodes, PerfWeights(), DispatchConfig(), jobs=jobs, order=order
+            )
+            assert_evaluations_equal(ev, want_ev)
     return want_dropped
 
 
@@ -555,11 +589,17 @@ def test_sweep_ignores_dispatch_order_random(seed):
     assert assert_sweep_ignores_order(net, sset, {0, 2, 4}) == []
 
 
-@pytest.mark.parametrize("seed, nodes, dropped", [(7, {0}, []), (15, {1}, [2])])
-def test_sweep_ignores_dispatch_order_quickstart(tmp_path, seed, nodes, dropped):
-    # each draw's final set; draw 15's drops scenario s00002
+@pytest.mark.parametrize(
+    "seed, nodes, dropped, parent",
+    [(7, {0}, [], None), (15, {1}, [2], None), (15, {0}, [], {1})],
+    ids=["7-nodes0-dropped0", "15-nodes1-dropped1", "15-baseline-ranked-from-1"],
+)
+def test_sweep_ignores_dispatch_order_quickstart(tmp_path, seed, nodes, dropped, parent):
+    # each draw's final set, ranked from storage everywhere; draw 15's drops
+    # scenario s00002.  Draw 15's baseline {0} is ranked from greedy's last
+    # round {1}, as run_place's memoized evaluation does: no subset of it.
     _, net, sset = quickstart_case(tmp_path, seed)
-    assert assert_sweep_ignores_order(net, sset, nodes) == dropped
+    assert assert_sweep_ignores_order(net, sset, nodes, parent) == dropped
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -603,6 +643,8 @@ def test_binding_first_order_ranks_by_dropped_ps_bar():
     parent = SubsetEvaluation((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar, 1, 1, 1, (2,))
     # dropping nodes 4 and 7 leaves loads 9.5, 2.0, 0 and 0.5 on scenarios 0, 1, 2, 3
     assert placement._binding_first_order(parent, frozenset({0}), set(), 4) == [0, 1, 3, 2]
+    # a set with nodes the parent lacks: only the parent's nodes outside it count
+    assert placement._binding_first_order(parent, frozenset({0, 5}), set(), 4) == [0, 1, 3, 2]
     assert placement._binding_first_order(parent, frozenset({0}), {2, 3}, 4) == [3, 2, 0, 1]
 
 
