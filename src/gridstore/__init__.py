@@ -12,6 +12,7 @@ from .dispatch import (
     DispatchConfig,
     DispatchSolution,
     Scenario,
+    StorageUse,
     build_dispatch_lp,
     lookahead_dispatch,
     renewable_fluctuation_energy,
@@ -64,6 +65,7 @@ __all__ = [
     "Scenario",
     "ScenarioSet",
     "Status",
+    "StorageUse",
     "SubsetEvaluation",
     "SyntheticParams",
     "build_dispatch_lp",

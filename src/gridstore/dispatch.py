@@ -19,10 +19,10 @@ For a fixed network, storage node set and step grid the LP differs between
 scenarios only in the nodal-balance right-hand side and, with curtailment,
 the curtailment upper bounds.  A :class:`Dispatcher` therefore assembles it
 once, when constructed, with :func:`build_dispatch_lp`; each call re-targets
-that program at the call's scenario with :func:`retarget_dispatch_lp`, then
-solves and decodes it.  No call writes into the assembled program, so one
-Dispatcher serves every thread of a sweep; :func:`lookahead_dispatch` is a
-Dispatcher's single call.
+that program at the call's scenario and solves it, and its caller decodes
+what it reads: a sweep keeps one :class:`StorageUse` per scenario, and only
+:func:`lookahead_dispatch` builds the full :class:`DispatchSolution`.  No call
+writes into the assembled program, so one Dispatcher serves a sweep's threads.
 """
 
 from __future__ import annotations
@@ -126,9 +126,7 @@ class DispatchIndex:
     row numbers of the nodal balance, set by :func:`build_dispatch_lp`;
     ``T`` and ``dt_hours`` are the step grid the LP was built for.
     ``site_bus`` (per renewable site) places each site's output in the
-    balance.  ``line_from``, ``line_to`` and ``reactance`` (per line) and
-    ``gen_rate`` (per generator, $/MWh) are the network data
-    :func:`decode_solution` reads.
+    balance.
     """
 
     balance: np.ndarray
@@ -145,11 +143,6 @@ class DispatchIndex:
         self.curtail_on = config.allow_curtailment
         self.non_slack = np.delete(np.arange(self.n_buses), self.slack)
         self.site_bus = np.array([site.bus for site in network.renewables], dtype=int)
-        lines = network.lines
-        self.line_from = np.array([ln.from_bus for ln in lines], dtype=int)
-        self.line_to = np.array([ln.to_bus for ln in lines], dtype=int)
-        self.reactance = np.array([ln.reactance for ln in lines])
-        self.gen_rate = np.array([gen.cost for gen in network.generators], dtype=float)
 
         self.n_vars = 0
 
@@ -238,8 +231,19 @@ class DispatchSolution:
     storage_cost: float
     curtailed: np.ndarray | None = None  # (T, n_sites) MW when enabled
     objective: float = 0.0
-    iterations: int = 0  # the LP's, as its backend reported them
-    max_violation: float = 0.0  # the LP's worst residual
+
+
+@dataclass(eq=False)
+class StorageUse:
+    """What placement reads from one scenario's optimal dispatch."""
+
+    s_bar: np.ndarray  # (n_store,) MWh
+    ps_bar: np.ndarray  # (n_store,) MW
+    energy: float  # MWh, the state-of-charge swings summed over the nodes
+    power: float  # MW, the peak |ps| summed over the nodes
+    objective: float
+    iterations: int  # the LP's, as its backend reported them
+    max_violation: float  # the LP's worst residual
 
 
 def _balance_rhs(idx: DispatchIndex, scenario: Scenario) -> np.ndarray:
@@ -376,26 +380,49 @@ def retarget_dispatch_lp(
     )
 
 
+def _state_of_charge(ps: np.ndarray, s0: np.ndarray, dt: float) -> np.ndarray:
+    """(T+1, n_store) MWh at the step boundaries, from ``s0`` and the injections."""
+    return np.vstack([s0, s0 - dt * np.cumsum(ps, axis=0)])
+
+
+def storage_use(idx: DispatchIndex, sol: lpmod.LpSolution) -> StorageUse:
+    """The :class:`StorageUse` of an optimal dispatch LP solution."""
+    x = sol.x
+    ps = x[idx.ps]
+    soc = _state_of_charge(ps, x[idx.s0], idx.dt_hours)
+    return StorageUse(
+        s_bar=x[idx.s_bar],
+        ps_bar=x[idx.ps_bar],
+        energy=float((soc.max(axis=0) - soc.min(axis=0)).sum()),
+        power=float(np.abs(ps).max(axis=0).sum()),
+        objective=sol.objective,
+        iterations=sol.iterations,
+        max_violation=sol.max_violation,
+    )
+
+
 def decode_solution(
-    idx: DispatchIndex, config: DispatchConfig, sol: lpmod.LpSolution
+    network: Network, idx: DispatchIndex, config: DispatchConfig, sol: lpmod.LpSolution
 ) -> DispatchSolution:
     x = sol.x
     T = idx.T
     dt = idx.dt_hours
     pg = x[idx.pg]
     ps = x[idx.ps]
-    s0 = x[idx.s0]
-    soc = np.vstack([s0, s0 - dt * np.cumsum(ps, axis=0)]) if idx.n_store else np.zeros((T + 1, 0))
+    soc = _state_of_charge(ps, x[idx.s0], dt)
     theta = np.zeros((T, idx.n_buses))
     theta[:, idx.non_slack] = x[idx.theta]
-    flows = (theta[:, idx.line_from] - theta[:, idx.line_to]) / idx.reactance
+    lines = network.lines
+    flows = theta[:, [ln.from_bus for ln in lines]] - theta[:, [ln.to_bus for ln in lines]]
+    flows /= [ln.reactance for ln in lines]
     s_bar = x[idx.s_bar]
     ps_bar = x[idx.ps_bar]
     curtailed = x[idx.curtail] if idx.curtail_on else None
     # each generator's energy summed over its own schedule, then the costs
     # totalled left to right (the float order the reports have always used)
     energy = np.ascontiguousarray(pg.T).sum(axis=1)
-    gen_cost = float(sum((idx.gen_rate * dt * energy).tolist()))
+    gen_rate = np.array([gen.cost for gen in network.generators], dtype=float)
+    gen_cost = float(sum((gen_rate * dt * energy).tolist()))
     store_cost = float(
         config.storage_energy_cost * s_bar.sum() + config.storage_power_cost * ps_bar.sum()
     )
@@ -411,8 +438,6 @@ def decode_solution(
         storage_cost=store_cost,
         curtailed=curtailed,
         objective=sol.objective,
-        iterations=sol.iterations,
-        max_violation=sol.max_violation,
     )
 
 
@@ -421,12 +446,13 @@ class Dispatcher:
 
     Construction assembles the horizon LP for ``scenario`` with
     :func:`build_dispatch_lp`.  Calling the Dispatcher on a scenario of the
-    same shape re-targets that LP at it, solves, and returns the decoded
-    :class:`DispatchSolution`.  A call only reads the assembled LP, so
-    threads may share one Dispatcher.  Raises InfeasibleScenario (with the
-    scenario label) when no dispatch satisfies the constraints,
-    SolverFailure (naming the scenario and the backend) on any other
-    non-optimal stop.  A call's ``stop`` event goes to
+    same shape re-targets that LP at it, solves, and returns the optimal
+    :class:`lp.LpSolution`, which the caller decodes through ``idx`` with
+    :func:`storage_use` or :func:`decode_solution`.  A call only reads the
+    assembled LP, so threads may share one Dispatcher.  Raises
+    InfeasibleScenario (with the scenario label) when no dispatch satisfies
+    the constraints, SolverFailure (naming the scenario and the backend) on
+    any other non-optimal stop.  A call's ``stop`` event goes to
     :func:`lp.solve_with_backend`: once it is set the solve ends early, and
     the call raises SolverFailure with status ``interrupted``.
     """
@@ -434,13 +460,12 @@ class Dispatcher:
     def __init__(
         self, network: Network, scenario: Scenario, config: DispatchConfig, backend: str = "highs"
     ):
-        self.config = config
         self.backend = backend
         self.template, self.idx = build_dispatch_lp(network, scenario, config)
 
     def __call__(
         self, scenario: Scenario, stop: threading.Event | None = None
-    ) -> DispatchSolution:
+    ) -> lpmod.LpSolution:
         prog = retarget_dispatch_lp(self.template, self.idx, scenario)
         label = scenario.label or "<unnamed>"
         try:
@@ -454,7 +479,7 @@ class Dispatcher:
                 f"scenario {label} ({self.backend}): "
                 f"dispatch LP ended with status {sol.status.value}"
             )
-        return decode_solution(self.idx, self.config, sol)
+        return sol
 
 
 def lookahead_dispatch(
@@ -464,7 +489,8 @@ def lookahead_dispatch(
     backend: str = "highs",
 ) -> DispatchSolution:
     """Assemble, solve and decode one scenario's LP; raises as :class:`Dispatcher` does."""
-    return Dispatcher(network, scenario, config, backend)(scenario)
+    d = Dispatcher(network, scenario, config, backend)
+    return decode_solution(network, d.idx, config, d(scenario))
 
 
 def verify_dispatch(

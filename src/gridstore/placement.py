@@ -13,7 +13,6 @@ the placement plus a fixed charge per occupied site.
 
 from __future__ import annotations
 
-import functools
 import logging
 import threading
 from collections.abc import Callable
@@ -23,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dispatch import DispatchConfig, Dispatcher, DispatchSolution, Scenario
+from .dispatch import DispatchConfig, Dispatcher, Scenario, StorageUse, storage_use
 from .errors import (
     AllScenariosInfeasible,
     InfeasibleScenario,
@@ -63,23 +62,17 @@ def _normalized_capacity(uses, scenarios: list[Scenario], span: int, quantity: s
     return max([0.0, *uses]) / den
 
 
-def normalized_power_capacity(
-    solutions: list[DispatchSolution], scenarios: list[Scenario]
-) -> float:
+def normalized_power_capacity(uses: list[StorageUse], scenarios: list[Scenario]) -> float:
     """Worst-case total storage power use over the worst-case renewable swing.
 
     Numerator and denominator are each aggregated as the max over scenarios.
     """
-    uses = (float(np.abs(sol.ps).max(axis=0).sum()) for sol in solutions if sol.ps.size)
-    return _normalized_capacity(uses, scenarios, 0, "power")
+    return _normalized_capacity([use.power for use in uses], scenarios, 0, "power")
 
 
-def normalized_energy_capacity(
-    solutions: list[DispatchSolution], scenarios: list[Scenario]
-) -> float:
+def normalized_energy_capacity(uses: list[StorageUse], scenarios: list[Scenario]) -> float:
     """Worst-case total state-of-charge swing over the worst-case fluctuation energy."""
-    swings = (sol.soc.max(axis=0) - sol.soc.min(axis=0) for sol in solutions if sol.soc.size)
-    return _normalized_capacity((float(s.sum()) for s in swings), scenarios, 1, "energy")
+    return _normalized_capacity([use.energy for use in uses], scenarios, 1, "energy")
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +81,11 @@ def normalized_energy_capacity(
 
 
 def _outcome(
-    dispatch: Callable[[Scenario], DispatchSolution], scenario: Scenario
-) -> DispatchSolution | Exception:
-    """The scenario's solution, or the exception its dispatch raised."""
+    dispatch: Dispatcher, scenario: Scenario, stop: threading.Event | None = None
+) -> StorageUse | Exception:
+    """The scenario's storage use, or the exception its dispatch raised."""
     try:
-        return dispatch(scenario)
+        return storage_use(dispatch.idx, dispatch(scenario, stop))
     except Exception as exc:
         return exc
 
@@ -109,10 +102,9 @@ def _pool_arrivals(dispatch: Dispatcher, scenarios, jobs: int, order):
     joins the threads: none is alive once the generator has closed.
     """
     stop = threading.Event()
-    solve = functools.partial(dispatch, stop=stop)
 
     def run(i):
-        return i, _outcome(solve, scenarios[i])
+        return i, _outcome(dispatch, scenarios[i], stop)
 
     todo = iter(order)
     pool = ThreadPoolExecutor(jobs, "gridstore-dispatch")
@@ -135,8 +127,9 @@ def solve_all_scenarios(
     backend: str = "highs",
     jobs: int = 1,
     order=None,
-) -> tuple[list[DispatchSolution], list[int]]:
-    """Dispatch every scenario; returns (solutions, indices of infeasible ones).
+) -> tuple[list[StorageUse], list[int]]:
+    """Dispatch every scenario; returns (records, indices of infeasible ones),
+    the records being the kept scenarios' :class:`StorageUse`, in index order.
 
     Scenarios are dispatched in ``order``, a permutation of their indices
     (index order by default), and infeasible results are counted as they
@@ -151,8 +144,9 @@ def solve_all_scenarios(
     The sweep builds one :class:`Dispatcher` from its first scenario before
     any scenario is dispatched, so the LP is assembled once, and every
     scenario, on this thread or on any of ``jobs`` pool threads, re-targets
-    that one LP.  Every scenario arrives as (i, outcome): its solution or
-    the exception its dispatch raised.  An InfeasibleScenario counts toward
+    that one LP.  Every scenario arrives as (i, outcome): its record, taken
+    from the LP's solution on the thread that solved it, or the exception
+    its dispatch raised.  An InfeasibleScenario counts toward
     the abort; any other exception is raised here.  When the sweep ends
     early, by its verdict or by any error, no further scenario starts; the
     at most ``jobs - 1`` solves still running are interrupted and their
@@ -202,23 +196,24 @@ def solve_all_scenarios(
             f"{sorted(config.storage_nodes)} (stopped early)",
             dropped,
         )
-    solutions = [results[i] for i in range(n) if i not in dropped]
+    uses = [results[i] for i in range(n) if i not in dropped]
     if dropped:
         labels = [scenarios[i].label for i in dropped]
         logger.warning(
             "dropping %d/%d infeasible scenarios: %s", len(dropped), n, ", ".join(labels)
         )
-    return solutions, dropped
+    return uses, dropped
 
 
 @dataclass(eq=False)
 class SubsetEvaluation:
-    """One dispatched node set: its worst-case capacities, metrics and perf."""
+    """One dispatched node set: its worst-case capacities, metrics and perf,
+    and the :class:`StorageUse` record its sweep kept for each kept scenario."""
 
     nodes: tuple[int, ...]  # sorted
     s_bar_max: np.ndarray  # MWh per node, elementwise max over the kept scenarios
     ps_bar_max: np.ndarray  # MW per node
-    per_scenario_ps_bar: np.ndarray  # (n_kept, n_nodes) MW, kept scenarios in index order
+    per_scenario: tuple[StorageUse, ...]  # kept scenarios in index order
     energy_metric: float
     power_metric: float
     perf: float
@@ -229,9 +224,9 @@ class SubsetEvaluation:
         return len(self.dropped_indices)
 
 
-def _metric_or_zero(metric_fn, solutions, scenarios, s_bar_max) -> float:
+def _metric_or_zero(metric_fn, uses, scenarios, s_bar_max) -> float:
     try:
-        return metric_fn(solutions, scenarios)
+        return metric_fn(uses, scenarios)
     except ZeroFluctuationDenominator:
         # nothing fluctuates, so nothing gets stored; define the ratio as 0
         if s_bar_max.sum() <= _ZERO_CAP_TOL:
@@ -254,25 +249,22 @@ def evaluate_subset(
     ``order`` is the scenario dispatch order :func:`solve_all_scenarios` takes.
     """
     config = replace(dispatch, storage_nodes=frozenset(nodes))
-    solutions, dropped = solve_all_scenarios(
-        network, scenario_set, config, backend, jobs, order=order
-    )
+    uses, dropped = solve_all_scenarios(network, scenario_set, config, backend, jobs, order=order)
     dropped_set = set(dropped)
     kept = [s for i, s in enumerate(scenario_set.scenarios) if i not in dropped_set]
     nodes = tuple(sorted(nodes))
-    if solutions and nodes:
-        s_bar_max = np.vstack([sol.s_bar for sol in solutions]).max(axis=0)
-        per_p = np.vstack([sol.ps_bar for sol in solutions])
-        ps_bar_max = per_p.max(axis=0)
+    if uses:
+        s_bar_max = np.vstack([use.s_bar for use in uses]).max(axis=0)
+        ps_bar_max = np.vstack([use.ps_bar for use in uses]).max(axis=0)
     else:
-        s_bar_max, ps_bar_max, per_p = np.zeros(0), np.zeros(0), np.zeros((len(solutions), 0))
-    energy = _metric_or_zero(normalized_energy_capacity, solutions, kept, s_bar_max)
-    power = _metric_or_zero(normalized_power_capacity, solutions, kept, s_bar_max)
+        s_bar_max, ps_bar_max = np.zeros(0), np.zeros(0)
+    energy = _metric_or_zero(normalized_energy_capacity, uses, kept, s_bar_max)
+    power = _metric_or_zero(normalized_power_capacity, uses, kept, s_bar_max)
     return SubsetEvaluation(
         nodes,
         s_bar_max,
         ps_bar_max,
-        per_p,
+        tuple(uses),
         energy,
         power,
         perf(nodes, energy, weights),
@@ -374,7 +366,7 @@ def _binding_first_order(
 
     Scenarios in ``infeasible`` (found infeasible by an earlier sweep) go
     first.  The rest rank by the total ps_bar they placed in the parent round
-    (the rows of ``parent.per_scenario_ps_bar``) on the parent's nodes outside
+    (their records in ``parent.per_scenario``) on the parent's nodes outside
     ``nodes``, which count as dropped, largest first: they lean hardest on the
     storage taken away.  Ties, and scenarios the parent round dropped, go in
     index order.  No output depends on the order.
@@ -382,7 +374,7 @@ def _binding_first_order(
     kept = np.setdiff1d(np.arange(n_scenarios), parent.dropped_indices)
     gone = [k for k, b in enumerate(parent.nodes) if b not in nodes]
     load = np.zeros(n_scenarios)
-    load[kept] = parent.per_scenario_ps_bar[:, gone].sum(axis=1)
+    load[kept] = [use.ps_bar[gone].sum() for use in parent.per_scenario]
     return sorted(range(n_scenarios), key=lambda i: (i not in infeasible, -load[i], i))
 
 

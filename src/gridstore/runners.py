@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dispatch import lookahead_dispatch, verify_dispatch
-from .errors import ValidationError
+from .errors import GridstoreError, ValidationError
 from .fileio import load_network_document
 from .placement import (
     PlacementState,
@@ -101,7 +101,7 @@ def run_place(cfg: RunConfig) -> Report:
                     ),
                     "capacities": _capacity_rows(ev),
                 }
-            except Exception as exc:  # baseline failure should not kill the run
+            except GridstoreError as exc:  # an infeasible or failed baseline does not end the run
                 baseline = {"error": f"{type(exc).__name__}: {exc}"}
                 logger.warning("baseline evaluation failed: %s", exc)
     t_done = time.perf_counter()

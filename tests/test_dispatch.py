@@ -4,11 +4,13 @@ import scipy.sparse as sp
 
 from gridstore.dispatch import (
     DispatchConfig,
+    Dispatcher,
     Scenario,
     build_dispatch_lp,
     lookahead_dispatch,
     renewable_fluctuation_energy,
     retarget_dispatch_lp,
+    storage_use,
     verify_dispatch,
 )
 from gridstore import lp as lpmod
@@ -409,10 +411,13 @@ def test_dispatch_carries_the_lp_iterations_and_residual(backend, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(lpmod, "solve_with_backend", record)
-    sol = lookahead_dispatch(net, random_scenario(rng, net), DispatchConfig({1, 2}), backend)
+    scen = random_scenario(rng, net)
+    dispatch = Dispatcher(net, scen, DispatchConfig({1, 2}), backend)
+    use = storage_use(dispatch.idx, dispatch(scen))
     (lp_sol,) = seen
-    assert sol.iterations == lp_sol.iterations > 0
-    assert sol.max_violation == lp_sol.max_violation
+    assert use.iterations == lp_sol.iterations > 0
+    assert use.max_violation == lp_sol.max_violation
+    assert use.objective == lp_sol.objective
 
 
 # -- curtailment and interchange ------------------------------------------------

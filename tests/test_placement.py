@@ -21,8 +21,8 @@ from gridstore.config import load_run_config
 from gridstore.dispatch import (
     DispatchConfig,
     Dispatcher,
-    DispatchSolution,
     Scenario,
+    StorageUse,
     build_dispatch_lp,
     decode_solution,
     lookahead_dispatch,
@@ -55,21 +55,15 @@ from netgen import random_network, random_scenario
 DT = 1.0 / 12.0
 
 
-def fake_solution(ps, soc, nodes=(0,)):
-    ps = np.atleast_2d(np.asarray(ps, dtype=float))
-    soc = np.atleast_2d(np.asarray(soc, dtype=float))
-    T = ps.shape[0]
-    return DispatchSolution(
-        pg=np.zeros((T, 0)),
-        ps=ps,
-        soc=soc,
-        flows=np.zeros((T, 0)),
-        s_bar=soc.max(axis=0) - soc.min(axis=0),
-        ps_bar=np.abs(ps).max(axis=0),
-        storage_nodes=tuple(nodes),
-        generation_cost=0.0,
-        storage_cost=0.0,
-    )
+NO_LP = {"objective": 0.0, "iterations": 0, "max_violation": 0.0}  # a record's LP fields
+
+
+def assert_uses_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.s_bar, b.s_bar) and np.array_equal(a.ps_bar, b.ps_bar)  # bitwise
+        assert (a.energy, a.power, a.objective) == (b.energy, b.power, b.objective)
+        assert (a.iterations, a.max_violation) == (b.iterations, b.max_violation)
 
 
 # -- metric formulas -----------------------------------------------------------
@@ -78,31 +72,31 @@ def fake_solution(ps, soc, nodes=(0,)):
 def test_power_metric_direct_formula():
     # |ps| peaks at 1 MW; the site swings between 1 and 3 MW
     scen = Scenario(dt_hours=1.0, renewable=[[3.0], [1.0]], load=np.zeros((2, 1)))
-    sol = fake_solution(ps=[[1.0], [-1.0]], soc=[[0.0], [1.0]])
-    assert normalized_power_capacity([sol], [scen]) == pytest.approx(0.5)
+    use = StorageUse(np.ones(1), np.ones(1), energy=1.0, power=1.0, **NO_LP)
+    assert normalized_power_capacity([use], [scen]) == pytest.approx(0.5)
 
 
 def test_power_metric_zero_when_unused():
     scen = Scenario(dt_hours=1.0, renewable=[[3.0], [1.0]], load=np.zeros((2, 1)))
-    sol = fake_solution(ps=[[0.0], [0.0]], soc=[[0.0], [0.0]])
-    assert normalized_power_capacity([sol], [scen]) == 0.0
+    use = StorageUse(np.zeros(1), np.zeros(1), energy=0.0, power=0.0, **NO_LP)
+    assert normalized_power_capacity([use], [scen]) == 0.0
 
 
 def test_energy_metric_direct_formula():
     # soc swing 1 MWh against a 2 MWh fluctuation-energy swing
     scen = Scenario(dt_hours=2.0, renewable=[[2.0], [0.0]], load=np.zeros((2, 1)))
     # s^r = [0, 2, 0] -> swing 2 MWh
-    sol = fake_solution(ps=[[0.5], [-0.5]], soc=[[0.5], [1.5]])
-    assert normalized_energy_capacity([sol], [scen]) == pytest.approx(0.5)
+    use = StorageUse(np.ones(1), np.full(1, 0.5), energy=1.0, power=0.5, **NO_LP)
+    assert normalized_energy_capacity([use], [scen]) == pytest.approx(0.5)
 
 
 def test_metrics_raise_on_flat_renewables():
     scen = Scenario(dt_hours=1.0, renewable=np.full((3, 1), 2.0), load=np.zeros((3, 1)))
-    sol = fake_solution(ps=np.zeros((3, 1)), soc=np.zeros((4, 1)))
+    use = StorageUse(np.zeros(1), np.zeros(1), energy=0.0, power=0.0, **NO_LP)
     with pytest.raises(ZeroFluctuationDenominator):
-        normalized_power_capacity([sol], [scen])
+        normalized_power_capacity([use], [scen])
     with pytest.raises(ZeroFluctuationDenominator):
-        normalized_energy_capacity([sol], [scen])
+        normalized_energy_capacity([use], [scen])
 
 
 def test_colocated_storage_absorbing_fluctuation_hits_unity():
@@ -118,8 +112,9 @@ def test_colocated_storage_absorbing_fluctuation_hits_unity():
     cfg = DispatchConfig(storage_nodes={0}, storage_energy_cost=100.0, storage_power_cost=10.0)
     sol = lookahead_dispatch(net, scen, cfg, backend="simplex")
     assert sol.ps.ravel() == pytest.approx([-1.0, 1.0], abs=1e-7)
-    assert normalized_energy_capacity([sol], [scen]) == pytest.approx(1.0, abs=1e-6)
-    assert normalized_power_capacity([sol], [scen]) == pytest.approx(0.5, abs=1e-6)
+    uses, _ = solve_all_scenarios(net, ScenarioSet([scen]), cfg, backend="simplex")
+    assert normalized_energy_capacity(uses, [scen]) == pytest.approx(1.0, abs=1e-6)
+    assert normalized_power_capacity(uses, [scen]) == pytest.approx(0.5, abs=1e-6)
 
 
 # -- perf ----------------------------------------------------------------------
@@ -148,7 +143,8 @@ def ev_from_caps(caps, nodes=None, perf=1.0):
     """A one-scenario evaluation whose capacities are ``caps``; every metric is ``perf``."""
     caps = np.asarray(caps, dtype=float)
     nodes = tuple(range(len(caps))) if nodes is None else tuple(nodes)
-    return SubsetEvaluation(nodes, caps, caps.copy(), caps[None, :], perf, perf, perf)
+    use = StorageUse(caps, caps.copy(), energy=0.0, power=0.0, **NO_LP)
+    return SubsetEvaluation(nodes, caps, caps.copy(), (use,), perf, perf, perf)
 
 
 def test_candidates_from_distinct_ratios():
@@ -414,7 +410,7 @@ def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
             prog.var_lower[col] = prog.var_upper[col] = cap + pad
         solved = lpmod.solve_with_backend(prog, "highs")
         assert solved.status is Status.OPTIMAL
-        sol = decode_solution(idx, cfg, solved)
+        sol = decode_solution(net, idx, cfg, solved)
         assert np.allclose(sol.s_bar, state.rounds[-1].s_bar_max + pad)
 
 
@@ -453,8 +449,8 @@ def test_serial_sweep_solves_on_the_calling_thread_without_stop(monkeypatch, job
     monkeypatch.setattr(lpmod, "solve_with_backend", recording)
     for order in (None, list(range(n))[::-1]):
         calls.clear()
-        solutions, dropped = solve_all_scenarios(net, sset, cfg, "highs", jobs, order=order)
-        assert dropped == [] and len(solutions) == n
+        uses, dropped = solve_all_scenarios(net, sset, cfg, "highs", jobs, order=order)
+        assert dropped == [] and len(uses) == n
         assert calls == [(threading.current_thread(), None)] * n
 
 
@@ -472,14 +468,25 @@ def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail, jobs):
         return build(*args)
 
     monkeypatch.setattr(dispatchmod, "build_dispatch_lp", counting_build)
-    solutions, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs)
+
+    def no_full_decode(*args, **kwargs):
+        raise AssertionError("the placement path decoded a full dispatch")
+
+    monkeypatch.setattr(dispatchmod, "decode_solution", no_full_decode)
+    monkeypatch.setattr(dispatchmod.DispatchSolution, "__init__", no_full_decode)
+    uses, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs)
     assert assembled == [sset.scenarios[0].label]  # once per sweep, not once per thread
-    assert dropped == [] and len(solutions) == len(sset)
-    for scen, got in zip(sset, solutions):
+    greedy_placement(net, sset, PerfWeights(site_cost=0.05), dispatch=cfg, jobs=jobs)
+    monkeypatch.undo()
+    assert dropped == [] and len(uses) == len(sset)
+    for scen, got in zip(sset, uses):
         want = lookahead_dispatch(net, scen, cfg, backend="highs")
-        for name in ("s_bar", "ps_bar", "soc"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))  # bitwise
+        assert np.array_equal(got.s_bar, want.s_bar)  # bitwise
+        assert np.array_equal(got.ps_bar, want.ps_bar)
         assert got.objective == want.objective
+        # the formulas the capacity metrics applied to the full decode
+        assert got.energy == float((want.soc.max(axis=0) - want.soc.min(axis=0)).sum())
+        assert got.power == float(np.abs(want.ps).max(axis=0).sum())
 
 
 def read_only_build(network, scenario, config):
@@ -507,11 +514,8 @@ def test_shared_sweep_lp_is_never_written(monkeypatch, tmp_path, backend, curtai
     want, want_dropped = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=1)
     monkeypatch.setattr(dispatchmod, "build_dispatch_lp", read_only_build)
     got, dropped = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=2)
-    assert dropped == want_dropped and len(got) == len(want)
-    for a, b in zip(got, want):
-        for field in ("pg", "ps", "soc", "s_bar", "ps_bar"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))  # bitwise
-        assert a.objective == b.objective
+    assert dropped == want_dropped
+    assert_uses_equal(got, want)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -522,7 +526,7 @@ def test_empty_scenario_set_dispatches_nothing(jobs):
     weights = PerfWeights(site_cost=0.05)
     ev, metrics = evaluate_fixed_placement(net, empty, {0, 1}, weights, jobs=jobs)
     assert ev.nodes == (0, 1) and ev.s_bar_max.size == 0
-    assert ev.ps_bar_max.size == 0 and ev.per_scenario_ps_bar.shape == (0, 0)
+    assert ev.ps_bar_max.size == 0 and ev.per_scenario == ()
     assert metrics == {"energy_metric": 0.0, "power_metric": 0.0, "perf": 0.1, "dropped": 0}
 
 
@@ -552,8 +556,9 @@ def orders_to_try(network, sset, nodes, parent_nodes=None):
 
 def assert_evaluations_equal(a, b):
     assert a.nodes == b.nodes and a.dropped_indices == b.dropped_indices
-    for field in ("s_bar_max", "ps_bar_max", "per_scenario_ps_bar"):
+    for field in ("s_bar_max", "ps_bar_max"):
         assert np.array_equal(getattr(a, field), getattr(b, field))  # bitwise
+    assert_uses_equal(a.per_scenario, b.per_scenario)
     assert (a.energy_metric, a.power_metric, a.perf) == (b.energy_metric, b.power_metric, b.perf)
 
 
@@ -567,11 +572,7 @@ def assert_sweep_ignores_order(network, sset, nodes, parent_nodes=None):
                 network, sset, cfg, backend="highs", jobs=jobs, order=order
             )
             assert dropped == want_dropped, (jobs, name)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                for field in ("pg", "ps", "soc", "s_bar", "ps_bar"):
-                    assert np.array_equal(getattr(a, field), getattr(b, field)), (jobs, name)
-                assert a.objective == b.objective
+            assert_uses_equal(got, want)
             ev = evaluate_subset(
                 network, sset, nodes, PerfWeights(), DispatchConfig(), jobs=jobs, order=order
             )
@@ -607,14 +608,14 @@ def test_evaluation_records_its_sweep(tmp_path, jobs):
     # draw 15 drops scenario s00002 at {1}; the record keeps the other rows
     cfg, net, sset = quickstart_case(tmp_path, 15)
     config = replace(cfg.dispatch, storage_nodes=frozenset({1}))
-    solutions, dropped = solve_all_scenarios(net, sset, config, cfg.solver, jobs)
+    uses, dropped = solve_all_scenarios(net, sset, config, cfg.solver, jobs)
     ev = evaluate_subset(net, sset, {1}, cfg.weights, cfg.dispatch, cfg.solver, jobs)
     assert sset.scenarios[2].label == "s00002"
     assert dropped == [2] and ev.dropped_indices == (2,) and ev.nodes == (1,)
-    rows = np.vstack([sol.ps_bar for sol in solutions])
-    assert np.array_equal(ev.per_scenario_ps_bar, rows)  # bitwise, kept scenarios in index order
-    assert np.array_equal(ev.ps_bar_max, rows.max(axis=0))
-    assert np.array_equal(ev.s_bar_max, np.vstack([sol.s_bar for sol in solutions]).max(axis=0))
+    assert_uses_equal(ev.per_scenario, uses)  # bitwise, kept scenarios in index order
+    assert len(uses) == 29
+    assert np.array_equal(ev.ps_bar_max, np.vstack([use.ps_bar for use in uses]).max(axis=0))
+    assert np.array_equal(ev.s_bar_max, np.vstack([use.s_bar for use in uses]).max(axis=0))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -640,7 +641,8 @@ def test_sweep_rejects_an_order_that_is_not_a_permutation():
 def test_binding_first_order_ranks_by_dropped_ps_bar():
     # scenarios 0, 1, 3 were kept by the parent round; 2 was dropped there
     ps_bar = np.array([[1.0, 0.5, 9.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.5]])
-    parent = SubsetEvaluation((0, 4, 7), ps_bar[0], ps_bar[0], ps_bar, 1, 1, 1, (2,))
+    uses = tuple(StorageUse(row, row, energy=0.0, power=0.0, **NO_LP) for row in ps_bar)
+    parent = SubsetEvaluation((0, 4, 7), ps_bar[0], ps_bar[0], uses, 1, 1, 1, (2,))
     # dropping nodes 4 and 7 leaves loads 9.5, 2.0, 0 and 0.5 on scenarios 0, 1, 2, 3
     assert placement._binding_first_order(parent, frozenset({0}), set(), 4) == [0, 1, 3, 2]
     # a set with nodes the parent lacks: only the parent's nodes outside it count
@@ -655,9 +657,9 @@ def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_pat
     solved = []
     solve = Dispatcher.__call__
 
-    def counting_solve(self, scenario):
-        solved.append(self.config.storage_nodes)
-        return solve(self, scenario)
+    def counting_solve(self, scenario, stop=None):
+        solved.append(frozenset(self.idx.storage))
+        return solve(self, scenario, stop)
 
     monkeypatch.setattr(Dispatcher, "__call__", counting_solve)
     state = greedy_placement(
@@ -832,6 +834,21 @@ def test_place_baseline_reuses_greedy_infeasibility(monkeypatch, tmp_path):
     assert report.baseline == {
         "error": "AllScenariosInfeasible: 3 of 30 scenarios infeasible for storage set [0]"
     }
+
+
+def test_place_baseline_programming_error_fails_the_run(monkeypatch, tmp_path):
+    # only a toolkit error becomes the baseline's error record; a bug propagates
+    cfg = quickstart_config(tmp_path, seed=15)  # greedy never tries the baseline {0}
+    evaluate = placement.evaluate_subset
+
+    def broken_on_baseline(network, scenario_set, nodes, *args, **kwargs):
+        if frozenset(nodes) == frozenset({0}):
+            raise TypeError("bug in the baseline path")
+        return evaluate(network, scenario_set, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(placement, "evaluate_subset", broken_on_baseline)
+    with pytest.raises(TypeError, match="bug in the baseline path"):
+        runners.run_place(cfg)
 
 
 def test_baseline_nodes_renewables_and_interties():
