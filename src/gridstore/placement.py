@@ -82,17 +82,20 @@ def normalized_energy_capacity(uses: list[StorageUse], scenarios: list[Scenario]
 
 def _outcome(
     dispatch: Dispatcher, scenario: Scenario, stop: threading.Event | None = None
-) -> StorageUse | Exception:
-    """The scenario's storage use, or the exception its dispatch raised."""
+) -> StorageUse | None:
+    """The scenario's storage use, or None where its LP is infeasible.
+
+    Any other exception its dispatch raises propagates.
+    """
     try:
         return storage_use(dispatch.idx, dispatch(scenario, stop))
-    except Exception as exc:
-        return exc
+    except InfeasibleScenario:
+        return None
 
 
 def _pool_arrivals(dispatch: Dispatcher, scenarios, jobs: int, order):
-    """Yield (i, outcome) from ``jobs`` threads sharing ``dispatch``, as their
-    results arrive.
+    """Yield (i, :func:`_outcome`) from ``jobs`` threads sharing ``dispatch``,
+    as their results arrive; a solve's exception is raised here instead.
 
     A thread gets its next scenario only once its last result has been
     yielded, so when the generator closes, on the sweep's verdict, an error
@@ -127,9 +130,9 @@ def solve_all_scenarios(
     backend: str = "highs",
     jobs: int = 1,
     order=None,
-) -> tuple[list[StorageUse], list[int]]:
-    """Dispatch every scenario; returns (records, indices of infeasible ones),
-    the records being the kept scenarios' :class:`StorageUse`, in index order.
+) -> tuple[StorageUse | None, ...]:
+    """Dispatch every scenario; returns one slot per scenario, in index order:
+    its :class:`StorageUse` record, or None where it was infeasible and dropped.
 
     Scenarios are dispatched in ``order``, a permutation of their indices
     (index order by default), and infeasible results are counted as they
@@ -137,21 +140,18 @@ def solve_all_scenarios(
     stay under 10% of the set; once they reach it the sweep stops and raises
     AllScenariosInfeasible, since sizing from a heavily censored collection
     would be misleading.  Dispatching likely-infeasible scenarios first
-    reaches that verdict after fewer LPs.  The results are put back in
-    index order before anything is computed from them, so no output depends
-    on ``order``.
+    reaches that verdict after fewer LPs.  Every slot sits at its scenario's
+    index, so no output depends on ``order``.
 
     The sweep builds one :class:`Dispatcher` from its first scenario before
     any scenario is dispatched, so the LP is assembled once, and every
     scenario, on this thread or on any of ``jobs`` pool threads, re-targets
-    that one LP.  Every scenario arrives as (i, outcome): its record, taken
-    from the LP's solution on the thread that solved it, or the exception
-    its dispatch raised.  An InfeasibleScenario counts toward
-    the abort; any other exception is raised here.  When the sweep ends
-    early, by its verdict or by any error, no further scenario starts; the
-    at most ``jobs - 1`` solves still running are interrupted and their
-    results dropped.  Every pool thread has ended by the time this returns
-    or raises.
+    that one LP.  Every scenario arrives as (i, slot), the record taken from
+    the LP's solution on the thread that solved it.  Any exception other
+    than an infeasible LP is raised here.  When the sweep ends early, by its
+    verdict or by any error, no further scenario starts; the at most
+    ``jobs - 1`` solves still running are interrupted and their results
+    dropped.  Every pool thread has ended by the time this returns or raises.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)
@@ -167,57 +167,61 @@ def solve_all_scenarios(
         arrivals = _pool_arrivals(dispatch, scenarios, min(jobs, n), order)
     else:
         arrivals = ((i, _outcome(dispatch, scenarios[i])) for i in order)
-    results, n_infeasible = {}, 0
+    slots: list[StorageUse | None] = [None] * n
+    dropped: list[int] = []  # the infeasible scenarios, as they arrive
+    solved = 0
     try:
-        for i, outcome in arrivals:
-            infeasible = isinstance(outcome, InfeasibleScenario)
-            if isinstance(outcome, Exception) and not infeasible:
-                raise outcome
-            results[i] = outcome
-            n_infeasible += infeasible
-            if n_infeasible >= abort_at:
-                break
-            done = len(results)
-            if progress_every and done % progress_every == 0 and done < n:
-                logger.info("dispatched %d/%d scenarios (|S|=%d)", done, n, n_store)
+        for i, use in arrivals:
+            slots[i] = use
+            solved += 1
+            if use is None:
+                dropped.append(i)
+                if len(dropped) >= abort_at:
+                    break
+            if progress_every and solved % progress_every == 0 and solved < n:
+                logger.info("dispatched %d/%d scenarios (|S|=%d)", solved, n, n_store)
     finally:
         arrivals.close()
 
-    dropped = sorted(i for i, out in results.items() if isinstance(out, InfeasibleScenario))
+    dropped.sort()
     aborted = len(dropped) >= abort_at
     if aborted:
-        summary = f"infeasible after {len(results)} LPs"
+        summary = f"infeasible after {solved} LPs"
     else:
         summary = f"{len(dropped)} dropped" if dropped else "complete"
-    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", n_store, len(results), n, summary)
+    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", n_store, solved, n, summary)
     if aborted:
         raise AllScenariosInfeasible(
             f"{len(dropped)} of {n} scenarios infeasible for storage set "
             f"{sorted(config.storage_nodes)} (stopped early)",
             dropped,
         )
-    uses = [results[i] for i in range(n) if i not in dropped]
     if dropped:
         labels = [scenarios[i].label for i in dropped]
         logger.warning(
             "dropping %d/%d infeasible scenarios: %s", len(dropped), n, ", ".join(labels)
         )
-    return uses, dropped
+    return tuple(slots)
 
 
 @dataclass(eq=False)
 class SubsetEvaluation:
     """One dispatched node set: its worst-case capacities, metrics and perf,
-    and the :class:`StorageUse` record its sweep kept for each kept scenario."""
+    and its sweep's slot for each scenario: the :class:`StorageUse` record,
+    or None where the scenario was dropped."""
 
     nodes: tuple[int, ...]  # sorted
     s_bar_max: np.ndarray  # MWh per node, elementwise max over the kept scenarios
     ps_bar_max: np.ndarray  # MW per node
-    per_scenario: tuple[StorageUse, ...]  # kept scenarios in index order
+    per_scenario: tuple[StorageUse | None, ...]  # one slot per scenario, in index order
     energy_metric: float
     power_metric: float
     perf: float
-    dropped_indices: tuple[int, ...] = ()  # the dropped scenarios, in index order
+
+    @property
+    def dropped_indices(self) -> tuple[int, ...]:
+        """The dropped scenarios, in index order."""
+        return tuple(i for i, use in enumerate(self.per_scenario) if use is None)
 
     @property
     def dropped(self) -> int:
@@ -249,9 +253,12 @@ def evaluate_subset(
     ``order`` is the scenario dispatch order :func:`solve_all_scenarios` takes.
     """
     config = replace(dispatch, storage_nodes=frozenset(nodes))
-    uses, dropped = solve_all_scenarios(network, scenario_set, config, backend, jobs, order=order)
-    dropped_set = set(dropped)
-    kept = [s for i, s in enumerate(scenario_set.scenarios) if i not in dropped_set]
+    slots = solve_all_scenarios(network, scenario_set, config, backend, jobs, order=order)
+    uses, kept = [], []
+    for use, scen in zip(slots, scenario_set.scenarios):
+        if use is not None:
+            uses.append(use)
+            kept.append(scen)
     nodes = tuple(sorted(nodes))
     if uses:
         s_bar_max = np.vstack([use.s_bar for use in uses]).max(axis=0)
@@ -261,14 +268,7 @@ def evaluate_subset(
     energy = _metric_or_zero(normalized_energy_capacity, uses, kept, s_bar_max)
     power = _metric_or_zero(normalized_power_capacity, uses, kept, s_bar_max)
     return SubsetEvaluation(
-        nodes,
-        s_bar_max,
-        ps_bar_max,
-        tuple(uses),
-        energy,
-        power,
-        perf(nodes, energy, weights),
-        tuple(dropped),
+        nodes, s_bar_max, ps_bar_max, slots, energy, power, perf(nodes, energy, weights)
     )
 
 
@@ -360,22 +360,20 @@ def threshold_scan(current: SubsetEvaluation, epsilon: float, evaluate):
 
 
 def _binding_first_order(
-    parent: SubsetEvaluation, nodes: frozenset, infeasible: set[int], n_scenarios: int
+    parent: SubsetEvaluation, nodes: frozenset, infeasible: set[int]
 ) -> list[int]:
     """Dispatch order for a sweep over ``nodes``, any node set (a candidate or the baseline).
 
     Scenarios in ``infeasible`` (found infeasible by an earlier sweep) go
     first.  The rest rank by the total ps_bar they placed in the parent round
-    (their records in ``parent.per_scenario``) on the parent's nodes outside
+    (their slots in ``parent.per_scenario``) on the parent's nodes outside
     ``nodes``, which count as dropped, largest first: they lean hardest on the
-    storage taken away.  Ties, and scenarios the parent round dropped, go in
-    index order.  No output depends on the order.
+    storage taken away.  A scenario the parent round dropped counts 0.  Ties
+    go in index order.  No output depends on the order.
     """
-    kept = np.setdiff1d(np.arange(n_scenarios), parent.dropped_indices)
     gone = [k for k, b in enumerate(parent.nodes) if b not in nodes]
-    load = np.zeros(n_scenarios)
-    load[kept] = [use.ps_bar[gone].sum() for use in parent.per_scenario]
-    return sorted(range(n_scenarios), key=lambda i: (i not in infeasible, -load[i], i))
+    load = [0.0 if use is None else use.ps_bar[gone].sum() for use in parent.per_scenario]
+    return sorted(range(len(load)), key=lambda i: (i not in infeasible, -load[i], i))
 
 
 @dataclass(eq=False)
@@ -431,20 +429,20 @@ def greedy_placement(
 
     def evaluate(nodes: frozenset) -> SubsetEvaluation:
         if nodes not in memo:
-            order = None
-            if parent is not None:
-                order = _binding_first_order(parent, nodes, infeasible, len(scenario_set))
+            order = None if parent is None else _binding_first_order(parent, nodes, infeasible)
             try:
                 memo[nodes] = evaluate_subset(
                     network, scenario_set, nodes, weights, dispatch, backend, jobs, order=order
                 )
                 infeasible.update(memo[nodes].dropped_indices)
             except AllScenariosInfeasible as exc:
-                memo[nodes] = exc
+                # the verdict without the frames that raised it, which hold this memo
+                memo[nodes] = exc.with_traceback(None)
                 infeasible.update(exc.infeasible)
-        if isinstance(memo[nodes], AllScenariosInfeasible):
-            raise memo[nodes]
-        return memo[nodes]
+        verdict = memo[nodes]
+        if isinstance(verdict, AllScenariosInfeasible):
+            raise AllScenariosInfeasible(str(verdict), verdict.infeasible)
+        return verdict
 
     ev = evaluate(frozenset(range(network.n_buses)))
     eps = epsilon if epsilon is not None else max(epsilon_rel * ev.perf, 1e-12)

@@ -188,7 +188,8 @@ def compute_penetration(scenario: Scenario) -> float:
 #   scenario,step,kind,target_id,value_mw
 # with kind in {renewable, load, interchange}.  target_id is a renewable
 # site index for kind=renewable and a bus id otherwise.  Entries absent for
-# a (step, target) pair are zero.  A whole set round-trips bit-exactly.
+# a (step, target) pair are zero; a step with no other entry gets one zero
+# load row at bus 0.  A whole set round-trips bit-exactly.
 
 
 def write_scenarios_csv(sset: ScenarioSet, path) -> None:
@@ -198,16 +199,12 @@ def write_scenarios_csv(sset: ScenarioSet, path) -> None:
         writer.writerow(SCENARIO_CSV_HEADER)
         for scen in sset:
             for t in range(scen.n_steps):
-                for s in range(scen.renewable.shape[1]):
-                    writer.writerow([scen.label, t, "renewable", s, repr(float(scen.renewable[t, s]))])
-                for b in range(scen.load.shape[1]):
-                    if scen.load[t, b] != 0.0:
-                        writer.writerow([scen.label, t, "load", b, repr(float(scen.load[t, b]))])
-                for b in range(scen.interchange.shape[1]):
-                    if scen.interchange[t, b] != 0.0:
-                        writer.writerow(
-                            [scen.label, t, "interchange", b, repr(float(scen.interchange[t, b]))]
-                        )
+                rows = [("renewable", s, v) for s, v in enumerate(scen.renewable[t])]
+                rows += [("load", b, v) for b, v in enumerate(scen.load[t]) if v != 0.0]
+                rows += [("interchange", b, v) for b, v in enumerate(scen.interchange[t]) if v != 0.0]
+                # a step with no entry still gets a row, or it would be read back short
+                for kind, target, value in rows or [("load", 0, 0.0)]:
+                    writer.writerow([scen.label, t, kind, target, repr(float(value))])
 
 
 def load_scenarios_csv(paths, network: Network, dt_hours: float) -> ScenarioSet:

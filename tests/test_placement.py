@@ -1,3 +1,4 @@
+import gc
 import inspect
 import itertools
 import json
@@ -7,6 +8,7 @@ import signal
 import sys
 import threading
 import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,6 +63,9 @@ NO_LP = {"objective": 0.0, "iterations": 0, "max_violation": 0.0}  # a record's 
 def assert_uses_equal(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
+        assert (a is None) == (b is None)  # the same scenarios dropped
+        if a is None:
+            continue
         assert np.array_equal(a.s_bar, b.s_bar) and np.array_equal(a.ps_bar, b.ps_bar)  # bitwise
         assert (a.energy, a.power, a.objective) == (b.energy, b.power, b.objective)
         assert (a.iterations, a.max_violation) == (b.iterations, b.max_violation)
@@ -112,7 +117,7 @@ def test_colocated_storage_absorbing_fluctuation_hits_unity():
     cfg = DispatchConfig(storage_nodes={0}, storage_energy_cost=100.0, storage_power_cost=10.0)
     sol = lookahead_dispatch(net, scen, cfg, backend="simplex")
     assert sol.ps.ravel() == pytest.approx([-1.0, 1.0], abs=1e-7)
-    uses, _ = solve_all_scenarios(net, ScenarioSet([scen]), cfg, backend="simplex")
+    uses = solve_all_scenarios(net, ScenarioSet([scen]), cfg, backend="simplex")
     assert normalized_energy_capacity(uses, [scen]) == pytest.approx(1.0, abs=1e-6)
     assert normalized_power_capacity(uses, [scen]) == pytest.approx(0.5, abs=1e-6)
 
@@ -449,8 +454,8 @@ def test_serial_sweep_solves_on_the_calling_thread_without_stop(monkeypatch, job
     monkeypatch.setattr(lpmod, "solve_with_backend", recording)
     for order in (None, list(range(n))[::-1]):
         calls.clear()
-        uses, dropped = solve_all_scenarios(net, sset, cfg, "highs", jobs, order=order)
-        assert dropped == [] and len(uses) == n
+        slots = solve_all_scenarios(net, sset, cfg, "highs", jobs, order=order)
+        assert len(slots) == n and None not in slots
         assert calls == [(threading.current_thread(), None)] * n
 
 
@@ -474,11 +479,11 @@ def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail, jobs):
 
     monkeypatch.setattr(dispatchmod, "decode_solution", no_full_decode)
     monkeypatch.setattr(dispatchmod.DispatchSolution, "__init__", no_full_decode)
-    uses, dropped = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs)
+    uses = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs)
     assert assembled == [sset.scenarios[0].label]  # once per sweep, not once per thread
     greedy_placement(net, sset, PerfWeights(site_cost=0.05), dispatch=cfg, jobs=jobs)
     monkeypatch.undo()
-    assert dropped == [] and len(uses) == len(sset)
+    assert len(uses) == len(sset) and None not in uses
     for scen, got in zip(sset, uses):
         want = lookahead_dispatch(net, scen, cfg, backend="highs")
         assert np.array_equal(got.s_bar, want.s_bar)  # bitwise
@@ -511,10 +516,9 @@ def read_only_build(network, scenario, config):
 def test_shared_sweep_lp_is_never_written(monkeypatch, tmp_path, backend, curtail):
     run_cfg, net, sset = quickstart_case(tmp_path, 7)
     cfg = replace(run_cfg.dispatch, storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
-    want, want_dropped = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=1)
+    want = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=1)
     monkeypatch.setattr(dispatchmod, "build_dispatch_lp", read_only_build)
-    got, dropped = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=2)
-    assert dropped == want_dropped
+    got = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=2)
     assert_uses_equal(got, want)
 
 
@@ -522,7 +526,7 @@ def test_shared_sweep_lp_is_never_written(monkeypatch, tmp_path, backend, curtai
 def test_empty_scenario_set_dispatches_nothing(jobs):
     net, empty = chain_network(), ScenarioSet([])
     cfg = DispatchConfig(storage_nodes=frozenset({0, 1}))
-    assert solve_all_scenarios(net, empty, cfg, jobs=jobs) == ([], [])
+    assert solve_all_scenarios(net, empty, cfg, jobs=jobs) == ()
     weights = PerfWeights(site_cost=0.05)
     ev, metrics = evaluate_fixed_placement(net, empty, {0, 1}, weights, jobs=jobs)
     assert ev.nodes == (0, 1) and ev.s_bar_max.size == 0
@@ -550,7 +554,7 @@ def orders_to_try(network, sset, nodes, parent_nodes=None):
     if parent_nodes is None:
         parent_nodes = range(network.n_buses)
     parent = evaluate_subset(network, sset, parent_nodes, PerfWeights(), DispatchConfig())
-    binding = placement._binding_first_order(parent, frozenset(nodes), set(), n)
+    binding = placement._binding_first_order(parent, frozenset(nodes), set())
     return {"index": None, "reversed": list(range(n))[::-1], "binding": binding}
 
 
@@ -564,20 +568,17 @@ def assert_evaluations_equal(a, b):
 
 def assert_sweep_ignores_order(network, sset, nodes, parent_nodes=None):
     cfg = DispatchConfig(storage_nodes=frozenset(nodes))
-    want, want_dropped = solve_all_scenarios(network, sset, cfg, backend="highs")
+    want = solve_all_scenarios(network, sset, cfg, backend="highs")
     want_ev = evaluate_subset(network, sset, nodes, PerfWeights(), DispatchConfig())
     for jobs in (1, 2):
         for name, order in orders_to_try(network, sset, nodes, parent_nodes).items():
-            got, dropped = solve_all_scenarios(
-                network, sset, cfg, backend="highs", jobs=jobs, order=order
-            )
-            assert dropped == want_dropped, (jobs, name)
+            got = solve_all_scenarios(network, sset, cfg, backend="highs", jobs=jobs, order=order)
             assert_uses_equal(got, want)
             ev = evaluate_subset(
                 network, sset, nodes, PerfWeights(), DispatchConfig(), jobs=jobs, order=order
             )
             assert_evaluations_equal(ev, want_ev)
-    return want_dropped
+    return [i for i, use in enumerate(want) if use is None]
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -608,11 +609,13 @@ def test_evaluation_records_its_sweep(tmp_path, jobs):
     # draw 15 drops scenario s00002 at {1}; the record keeps the other rows
     cfg, net, sset = quickstart_case(tmp_path, 15)
     config = replace(cfg.dispatch, storage_nodes=frozenset({1}))
-    uses, dropped = solve_all_scenarios(net, sset, config, cfg.solver, jobs)
+    slots = solve_all_scenarios(net, sset, config, cfg.solver, jobs)
     ev = evaluate_subset(net, sset, {1}, cfg.weights, cfg.dispatch, cfg.solver, jobs)
     assert sset.scenarios[2].label == "s00002"
-    assert dropped == [2] and ev.dropped_indices == (2,) and ev.nodes == (1,)
-    assert_uses_equal(ev.per_scenario, uses)  # bitwise, kept scenarios in index order
+    assert len(slots) == 30 and slots[2] is None
+    assert ev.dropped_indices == (2,) and ev.dropped == 1 and ev.nodes == (1,)
+    assert_uses_equal(ev.per_scenario, slots)  # bitwise, one slot per scenario in index order
+    uses = [use for use in slots if use is not None]
     assert len(uses) == 29
     assert np.array_equal(ev.ps_bar_max, np.vstack([use.ps_bar for use in uses]).max(axis=0))
     assert np.array_equal(ev.s_bar_max, np.vstack([use.s_bar for use in uses]).max(axis=0))
@@ -641,13 +644,15 @@ def test_sweep_rejects_an_order_that_is_not_a_permutation():
 def test_binding_first_order_ranks_by_dropped_ps_bar():
     # scenarios 0, 1, 3 were kept by the parent round; 2 was dropped there
     ps_bar = np.array([[1.0, 0.5, 9.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.5]])
-    uses = tuple(StorageUse(row, row, energy=0.0, power=0.0, **NO_LP) for row in ps_bar)
-    parent = SubsetEvaluation((0, 4, 7), ps_bar[0], ps_bar[0], uses, 1, 1, 1, (2,))
+    uses = [StorageUse(row, row, energy=0.0, power=0.0, **NO_LP) for row in ps_bar]
+    slots = (uses[0], uses[1], None, uses[2])
+    parent = SubsetEvaluation((0, 4, 7), ps_bar[0], ps_bar[0], slots, 1, 1, 1)
+    assert parent.dropped_indices == (2,) and parent.dropped == 1
     # dropping nodes 4 and 7 leaves loads 9.5, 2.0, 0 and 0.5 on scenarios 0, 1, 2, 3
-    assert placement._binding_first_order(parent, frozenset({0}), set(), 4) == [0, 1, 3, 2]
+    assert placement._binding_first_order(parent, frozenset({0}), set()) == [0, 1, 3, 2]
     # a set with nodes the parent lacks: only the parent's nodes outside it count
-    assert placement._binding_first_order(parent, frozenset({0, 5}), set(), 4) == [0, 1, 3, 2]
-    assert placement._binding_first_order(parent, frozenset({0}), {2, 3}, 4) == [3, 2, 0, 1]
+    assert placement._binding_first_order(parent, frozenset({0, 5}), set()) == [0, 1, 3, 2]
+    assert placement._binding_first_order(parent, frozenset({0}), {2, 3}) == [3, 2, 0, 1]
 
 
 def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_path):
@@ -668,6 +673,55 @@ def test_greedy_stops_infeasible_candidate_at_its_threshold(monkeypatch, tmp_pat
     assert isinstance(state.verdicts[frozenset({1})], AllScenariosInfeasible)
     assert solved.count(frozenset({1})) == 3  # ceil(10% of 30)
     assert solved.count(frozenset({0, 1, 2})) == 30
+
+
+def place_and_evaluate_baseline(cfg, net, sset, jobs):
+    """Greedy plus its baseline, in a frame of its own: nothing of the run outlives it."""
+    state = greedy_placement(
+        net,
+        sset,
+        cfg.weights,
+        epsilon_prime=cfg.epsilon_prime,
+        dispatch=cfg.dispatch,
+        backend=cfg.solver,
+        jobs=jobs,
+    )
+    try:
+        state.evaluate(baseline_nodes(net, sset))
+    except AllScenariosInfeasible:
+        pass
+
+
+def gridstore_objects(objects) -> list:
+    """The objects of a gridstore type, and the frames of gridstore code."""
+    package = str(Path(placement.__file__).parent)
+    return [
+        obj
+        for obj in objects
+        if type(obj).__module__.startswith("gridstore.")
+        or isinstance(obj, types.FrameType) and obj.f_code.co_filename.startswith(package)
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_placement_leaves_no_reference_cycles(tmp_path, jobs):
+    # draw 5 has infeasible candidates, so greedy's memo keeps verdicts as well as records
+    cfg, net, sset = quickstart_case(tmp_path, 5)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # every object a collection frees lands in gc.garbage
+    try:
+        place_and_evaluate_baseline(cfg, net, sset, jobs)
+        gc.collect()
+        left = gridstore_objects(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    if jobs == 1:
+        assert left == []
+    else:
+        # an interrupted solve's cycle depends on timing; it holds no placement value
+        kept = (StorageUse, SubsetEvaluation, AllScenariosInfeasible)
+        assert [obj for obj in left if isinstance(obj, kept)] == []
 
 
 def test_worker_failure_ends_the_sweep_at_once(monkeypatch):

@@ -126,6 +126,29 @@ def test_csv_round_trip_exact(tmp_path):
         assert np.array_equal(a.interchange, b.interchange)
 
 
+def test_csv_round_trip_keeps_steps_without_entries(tmp_path):
+    # no renewable site, and steps with zero load and interchange: nothing but
+    # an explicit zero row says such a step, or a whole scenario, exists
+    load = np.zeros((3, 3))
+    load[0, 1] = 2.5
+    inter = np.zeros((3, 3))
+    inter[1, 2] = -1.0
+    sset = ScenarioSet(
+        [
+            Scenario(DT, np.zeros((3, 0)), load, inter, label="last-step-empty"),
+            Scenario(DT, np.zeros((3, 0)), np.zeros((3, 3)), label="all-steps-empty"),
+        ]
+    )
+    path = tmp_path / "scens.csv"
+    write_scenarios_csv(sset, path)
+    loaded = load_scenarios_csv(path, small_net(n_sites=0), DT)
+    assert [scen.label for scen in loaded] == ["last-step-empty", "all-steps-empty"]
+    for a, b in zip(sset, loaded):
+        assert np.array_equal(a.renewable, b.renewable)
+        assert np.array_equal(a.load, b.load)
+        assert np.array_equal(a.interchange, b.interchange)
+
+
 def test_csv_single_scenario_24_rows(tmp_path):
     lines = ["scenario,step,kind,target_id,value_mw"]
     for t in range(24):
