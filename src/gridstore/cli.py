@@ -156,15 +156,16 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
-    levels = None
+    overrides = _overrides(args)
     if args.levels:
         try:
             levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
         except ValueError:
             raise ValidationError(f"bad --levels value {args.levels!r}") from None
+        overrides["sweep"] = {"levels": levels}
+    cfg = load_run_config(args.config, overrides)
     with _error_record(cfg.out_dir):
-        report = run_sweep(cfg, levels)
+        report = run_sweep(cfg)
     emit_report(report, cfg.out_dir)
     for row in report.sweep:
         print(

@@ -148,12 +148,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     n_steps = json_value(spec.get("n_steps", 24), "int", "scenarios.n_steps", path)
 
     disp = json_value(merged.get("dispatch", {}), "dict", "dispatch", path)
-    # placement varies storage_nodes; every other field is the user's to set
-    if "storage_nodes" in disp:
-        raise ValidationError(
-            f"{path}: dispatch.storage_nodes cannot be set; placement chooses the storage nodes"
-        )
-    dispatch = _from_json(DispatchConfig, disp, "dispatch", path, storage_nodes=frozenset())
+    dispatch = _from_json(DispatchConfig, disp, "dispatch", path)
 
     place = json_value(merged.get("placement", {}), "dict", "placement", path)
     weights = _from_json(
@@ -162,7 +157,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     epsilon = place.get("epsilon")
     if epsilon is not None:
         epsilon = json_value(epsilon, "float", "placement.epsilon", path)
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValidationError(f"{path}: placement.epsilon must be positive, got {epsilon}")
     epsilon_rel = json_value(place.get("epsilon_rel", 0.01), "float", "placement.epsilon_rel", path)
     epsilon_prime = json_value(
@@ -170,7 +165,7 @@ def load_run_config(path, cli_overrides: dict | None = None) -> RunConfig:
     )
     if not 0 < epsilon_rel <= 1:
         raise ValidationError(f"{path}: placement.epsilon_rel must be in (0, 1], got {epsilon_rel}")
-    if epsilon_prime <= 0:
+    if not epsilon_prime > 0:
         raise ValidationError(f"{path}: placement.epsilon_prime must be positive, got {epsilon_prime}")
 
     sweep = json_value(merged.get("sweep", {}), "dict", "sweep", path)

@@ -15,14 +15,17 @@ injections, |ps| <= ps_bar, and zero net storage energy over the horizon.
 Generation cost is integrated over time (multiplied by the step length) so
 it shares units with the capacity cost terms.
 
-For a fixed network, storage node set and step grid the LP differs between
-scenarios only in the nodal-balance right-hand side and, with curtailment,
-the curtailment upper bounds.  A :class:`Dispatcher` therefore assembles it
-once, when constructed, with :func:`build_dispatch_lp`; each call re-targets
-that program at the call's scenario and solves it, and its caller decodes
-what it reads: a sweep keeps one :class:`StorageUse` per scenario, and only
-:func:`lookahead_dispatch` builds the full :class:`DispatchSolution`.  No call
-writes into the assembled program, so one Dispatcher serves a sweep's threads.
+Placement chooses the storage node set, so it is an argument, ``nodes``, and
+:class:`DispatchConfig` holds only what a run config sets.  For a fixed
+network, node set and step grid the LP differs between scenarios only in the
+nodal-balance right-hand side and, with curtailment, the curtailment upper
+bounds.  A :class:`Dispatcher` therefore assembles it once, when
+constructed, with :func:`build_dispatch_lp`; each call re-targets that
+program at the call's scenario and solves it, and its caller decodes what it
+reads: a sweep keeps one :class:`StorageUse` per scenario, and only
+:func:`lookahead_dispatch` builds the full :class:`DispatchSolution`.  No
+call writes into the assembled program, so one Dispatcher serves a sweep's
+threads.
 """
 
 from __future__ import annotations
@@ -101,16 +104,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class DispatchConfig:
-    storage_nodes: frozenset[int] = frozenset()
     storage_energy_cost: float = 200.0  # $ per MWh of s_bar
     storage_power_cost: float = 20.0  # $ per MW of ps_bar
     allow_curtailment: bool = False
     initial_soc_free: bool = True  # False pins s0 at s_bar / 2
 
     def __post_init__(self):
-        object.__setattr__(self, "storage_nodes", frozenset(self.storage_nodes))
         for name in ("storage_energy_cost", "storage_power_cost"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
@@ -131,13 +132,13 @@ class DispatchIndex:
 
     balance: np.ndarray
 
-    def __init__(self, network: Network, scenario: Scenario, config: DispatchConfig):
+    def __init__(self, network: Network, scenario: Scenario, nodes, config: DispatchConfig):
         self.T = T = scenario.n_steps
         self.dt_hours = scenario.dt_hours
         self.n_gen = len(network.generators)
         self.n_buses = network.n_buses
         self.slack = network.slack
-        self.storage = sorted(config.storage_nodes)
+        self.storage = sorted(set(nodes))
         self.n_store = K = len(self.storage)
         self.n_sites = len(network.renewables)
         self.curtail_on = config.allow_curtailment
@@ -254,12 +255,13 @@ def _balance_rhs(idx: DispatchIndex, scenario: Scenario) -> np.ndarray:
 
 
 def build_dispatch_lp(
-    network: Network, scenario: Scenario, config: DispatchConfig
+    network: Network, scenario: Scenario, nodes, config: DispatchConfig
 ) -> tuple[LinearProgram, DispatchIndex]:
-    """Assemble the horizon LP; returns the program and its variable map."""
-    idx = DispatchIndex(network, scenario, config)
+    """Assemble the horizon LP with storage allowed at ``nodes``, any iterable
+    of bus ids; returns the program and its variable map."""
+    idx = DispatchIndex(network, scenario, nodes, config)
     idx.check(scenario)
-    bad = [b for b in config.storage_nodes if not 0 <= b < network.n_buses]
+    bad = [b for b in idx.storage if not 0 <= b < network.n_buses]
     if bad:
         raise InconsistentDimensions(f"storage nodes {bad} not in network")
     if not check_connected(network):
@@ -442,26 +444,25 @@ def decode_solution(
 
 
 class Dispatcher:
-    """Dispatches scenarios against one network, storage config and backend.
+    """Dispatches scenarios against one network, storage node set, config and backend.
 
-    Construction assembles the horizon LP for ``scenario`` with
-    :func:`build_dispatch_lp`.  Calling the Dispatcher on a scenario of the
-    same shape re-targets that LP at it, solves, and returns the optimal
-    :class:`lp.LpSolution`, which the caller decodes through ``idx`` with
-    :func:`storage_use` or :func:`decode_solution`.  A call only reads the
-    assembled LP, so threads may share one Dispatcher.  Raises
-    InfeasibleScenario (with the scenario label) when no dispatch satisfies
-    the constraints, SolverFailure (naming the scenario and the backend) on
-    any other non-optimal stop.  A call's ``stop`` event goes to
-    :func:`lp.solve_with_backend`: once it is set the solve ends early, and
-    the call raises SolverFailure with status ``interrupted``.
+    Construction assembles the horizon LP for ``scenario``, with storage
+    allowed at ``nodes``, with :func:`build_dispatch_lp`.  Calling the
+    Dispatcher on a scenario of the same shape re-targets that LP at it,
+    solves, and returns the optimal :class:`lp.LpSolution`, which the caller
+    decodes through ``idx`` with :func:`storage_use` or
+    :func:`decode_solution`.  A call only reads the assembled LP, so threads
+    may share one Dispatcher.  Raises InfeasibleScenario (with the scenario
+    label) when no dispatch satisfies the constraints, SolverFailure (naming
+    the scenario and the backend) on any other non-optimal stop.  A call's
+    ``stop`` event goes to :func:`lp.solve_with_backend`: once it is set the
+    solve ends early, and the call raises SolverFailure with status
+    ``interrupted``.
     """
 
-    def __init__(
-        self, network: Network, scenario: Scenario, config: DispatchConfig, backend: str = "highs"
-    ):
+    def __init__(self, network, scenario, nodes, config: DispatchConfig, backend="highs"):
         self.backend = backend
-        self.template, self.idx = build_dispatch_lp(network, scenario, config)
+        self.template, self.idx = build_dispatch_lp(network, scenario, nodes, config)
 
     def __call__(
         self, scenario: Scenario, stop: threading.Event | None = None
@@ -485,11 +486,13 @@ class Dispatcher:
 def lookahead_dispatch(
     network: Network,
     scenario: Scenario,
+    nodes,
     config: DispatchConfig,
     backend: str = "highs",
 ) -> DispatchSolution:
-    """Assemble, solve and decode one scenario's LP; raises as :class:`Dispatcher` does."""
-    d = Dispatcher(network, scenario, config, backend)
+    """Assemble, solve and decode one scenario's LP with storage allowed at
+    ``nodes``; raises as :class:`Dispatcher` does."""
+    d = Dispatcher(network, scenario, nodes, config, backend)
     return decode_solution(network, d.idx, config, d(scenario))
 
 

@@ -11,6 +11,7 @@ fields MATPOWER cases lack; the importer converts into it.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -49,8 +50,10 @@ def json_value(value, kind: str, name: str, path):
     """``value`` if it is a JSON value of ``kind``: a key of ``_JSON_KINDS``,
     or ``list[k]`` for a list of values of kind ``k``.
 
-    A float takes any number and returns a float, an int no fraction, and
-    only a bool takes ``true``, which ``float()`` and ``int()`` read as 1.
+    A float takes any finite number and returns a float, an int no fraction,
+    and only a bool takes ``true``, which ``float()`` and ``int()`` read as 1.
+    Python's ``json`` reads ``NaN`` and ``Infinity``, which RFC 8259 does not
+    have; a float rejects both, and ``null`` is how a file says "unlimited".
     """
     if kind.startswith("list["):
         items = json_value(value, "list", name, path)
@@ -58,6 +61,8 @@ def json_value(value, kind: str, name: str, path):
     types, wanted = _JSON_KINDS[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
         raise ValidationError(f"{path}: {name} must be {wanted}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValidationError(f"{path}: {name} must be a finite number, got {value!r}")
     return float(value) if kind == "float" else value
 
 

@@ -187,4 +187,5 @@ def add_renewable_sites(doc: MatpowerDocument, additions: list[tuple[int, float]
         renewables=tuple(sites),
         base_mva=doc.network.base_mva,
     )
+    network.validate()
     return MatpowerDocument(network=network, base_load=doc.base_load, bus_numbers=doc.bus_numbers)

@@ -71,6 +71,7 @@ class Network:
 
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on the first breach."""
+        # each range test is written so that NaN fails it
         n = len(self.buses)
         if n == 0:
             raise ValidationError("network has no buses")
@@ -95,14 +96,14 @@ class Network:
         for k, gen in enumerate(self.generators):
             if not 0 <= gen.bus < n:
                 raise ValidationError(f"generator {k} references unknown bus {gen.bus}")
-            if gen.cost < 0 or gen.p_max < 0 or gen.ramp_limit < 0:
+            if not (gen.cost >= 0 and gen.p_max >= 0 and gen.ramp_limit >= 0):
                 raise ValidationError(f"generator {k} has a negative cost/capacity/ramp")
         for k, site in enumerate(self.renewables):
             if not 0 <= site.bus < n:
                 raise ValidationError(f"renewable site {k} references unknown bus {site.bus}")
-            if site.p_max < 0:
+            if not site.p_max >= 0:
                 raise ValidationError(f"renewable site {k} nameplate must be >= 0")
-        if self.base_mva <= 0:
+        if not self.base_mva > 0:
             raise ValidationError("base_mva must be positive")
 
 
@@ -197,9 +198,11 @@ def with_renewable_node(
     new_id = network.n_buses
     if line_limit is None:
         line_limit = 1.2 * nameplate if nameplate > 0 else None
-    return replace(
+    network = replace(
         network,
         buses=network.buses + (Bus(id=new_id, name=f"ren{new_id}"),),
         lines=network.lines + (Line(at_bus, new_id, line_reactance, line_limit),),
         renewables=network.renewables + (RenewableSite(bus=new_id, p_max=nameplate),),
     )
+    network.validate()
+    return network

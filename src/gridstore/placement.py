@@ -17,7 +17,7 @@ import logging
 import threading
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -45,7 +45,7 @@ class PerfWeights:
 
     def __post_init__(self):
         for name in ("energy_weight", "site_cost"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
@@ -126,13 +126,15 @@ def _pool_arrivals(dispatch: Dispatcher, scenarios, jobs: int, order):
 def solve_all_scenarios(
     network: Network,
     scenario_set: ScenarioSet,
+    nodes,
     config: DispatchConfig,
     backend: str = "highs",
     jobs: int = 1,
     order=None,
 ) -> tuple[StorageUse | None, ...]:
-    """Dispatch every scenario; returns one slot per scenario, in index order:
-    its :class:`StorageUse` record, or None where it was infeasible and dropped.
+    """Dispatch every scenario with storage allowed at ``nodes``; returns one
+    slot per scenario, in index order: its :class:`StorageUse` record, or
+    None where it was infeasible and dropped.
 
     Scenarios are dispatched in ``order``, a permutation of their indices
     (index order by default), and infeasible results are counted as they
@@ -143,15 +145,16 @@ def solve_all_scenarios(
     reaches that verdict after fewer LPs.  Every slot sits at its scenario's
     index, so no output depends on ``order``.
 
-    The sweep builds one :class:`Dispatcher` from its first scenario before
-    any scenario is dispatched, so the LP is assembled once, and every
-    scenario, on this thread or on any of ``jobs`` pool threads, re-targets
-    that one LP.  Every scenario arrives as (i, slot), the record taken from
-    the LP's solution on the thread that solved it.  Any exception other
-    than an infeasible LP is raised here.  When the sweep ends early, by its
-    verdict or by any error, no further scenario starts; the at most
-    ``jobs - 1`` solves still running are interrupted and their results
-    dropped.  Every pool thread has ended by the time this returns or raises.
+    The sweep builds one :class:`Dispatcher` from ``nodes`` and its first
+    scenario before any scenario is dispatched, so the LP is assembled once,
+    and every scenario, on this thread or on any of ``jobs`` pool threads,
+    re-targets that one LP.  Every scenario arrives as (i, slot), the record
+    taken from the LP's solution on the thread that solved it.  Any
+    exception other than an infeasible LP is raised here.  When the sweep
+    ends early, by its verdict or by any error, no further scenario starts;
+    the at most ``jobs - 1`` solves still running are interrupted and their
+    results dropped.  Every pool thread has ended by the time this returns
+    or raises.
     """
     scenarios = scenario_set.scenarios
     n = len(scenarios)
@@ -159,10 +162,10 @@ def solve_all_scenarios(
     if sorted(order) != list(range(n)):
         raise ValidationError("dispatch order must be a permutation of the scenario indices")
     abort_at = max(1, int(np.ceil(n * _MAX_INFEASIBLE_FRACTION)))
-    n_store = len(config.storage_nodes)
+    nodes = sorted(set(nodes))
     progress_every = n // 4 if n >= 100 else 0
 
-    dispatch = Dispatcher(network, scenarios[order[0]], config, backend) if n else None
+    dispatch = Dispatcher(network, scenarios[order[0]], nodes, config, backend) if n else None
     if jobs > 1 and n > 1:
         arrivals = _pool_arrivals(dispatch, scenarios, min(jobs, n), order)
     else:
@@ -179,7 +182,7 @@ def solve_all_scenarios(
                 if len(dropped) >= abort_at:
                     break
             if progress_every and solved % progress_every == 0 and solved < n:
-                logger.info("dispatched %d/%d scenarios (|S|=%d)", solved, n, n_store)
+                logger.info("dispatched %d/%d scenarios (|S|=%d)", solved, n, len(nodes))
     finally:
         arrivals.close()
 
@@ -189,11 +192,10 @@ def solve_all_scenarios(
         summary = f"infeasible after {solved} LPs"
     else:
         summary = f"{len(dropped)} dropped" if dropped else "complete"
-    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", n_store, solved, n, summary)
+    logger.info("sweep |S|=%d: %d/%d LPs solved, %s", len(nodes), solved, n, summary)
     if aborted:
         raise AllScenariosInfeasible(
-            f"{len(dropped)} of {n} scenarios infeasible for storage set "
-            f"{sorted(config.storage_nodes)} (stopped early)",
+            f"{len(dropped)} of {n} scenarios infeasible for storage set {nodes} (stopped early)",
             dropped,
         )
     if dropped:
@@ -248,18 +250,18 @@ def evaluate_subset(
     jobs: int = 1,
     order=None,
 ) -> SubsetEvaluation:
-    """One full dispatch round with storage restricted to ``nodes``.
+    """One full dispatch round with storage restricted to ``nodes``, any
+    iterable of bus ids.
 
     ``order`` is the scenario dispatch order :func:`solve_all_scenarios` takes.
     """
-    config = replace(dispatch, storage_nodes=frozenset(nodes))
-    slots = solve_all_scenarios(network, scenario_set, config, backend, jobs, order=order)
+    nodes = tuple(sorted(set(nodes)))
+    slots = solve_all_scenarios(network, scenario_set, nodes, dispatch, backend, jobs, order=order)
     uses, kept = [], []
     for use, scen in zip(slots, scenario_set.scenarios):
         if use is not None:
             uses.append(use)
             kept.append(scen)
-    nodes = tuple(sorted(nodes))
     if uses:
         s_bar_max = np.vstack([use.s_bar for use in uses]).max(axis=0)
         ps_bar_max = np.vstack([use.ps_bar for use in uses]).max(axis=0)
@@ -417,10 +419,12 @@ def greedy_placement(
     """
     if len(scenario_set) == 0:
         raise ValidationError("scenario set is empty")
-    if epsilon is not None and epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    if epsilon_prime <= 0:
-        raise ValidationError("epsilon_prime must be positive")
+    if epsilon is not None and not epsilon > 0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon_rel <= 1:
+        raise ValidationError(f"epsilon_rel must be in (0, 1], got {epsilon_rel}")
+    if not epsilon_prime > 0:
+        raise ValidationError(f"epsilon_prime must be positive, got {epsilon_prime}")
 
     # one verdict per subset: an evaluation, or the infeasibility that ended it
     memo: dict[frozenset, SubsetEvaluation | AllScenariosInfeasible] = {}

@@ -122,22 +122,19 @@ def run_place(cfg: RunConfig) -> Report:
     )
 
 
-def run_sweep(cfg: RunConfig, levels=None) -> Report:
-    """Storage-at-all-nodes metrics across renewable penetration levels."""
-    levels = list(levels) if levels is not None else list(cfg.sweep_levels)
-    if not levels:
+def run_sweep(cfg: RunConfig) -> Report:
+    """Storage-at-all-nodes metrics across the config's renewable penetration levels."""
+    if not cfg.sweep_levels:
         raise ValidationError("sweep needs at least one penetration level")
-    if sorted(levels) != levels or any(not 0.0 < v < 1.0 for v in levels):
-        raise ValidationError("sweep levels must be ascending and strictly inside (0, 1)")
     if cfg.synthetic is None:
         raise ValidationError("sweep requires a synthetic scenario source")
 
     t_start = time.perf_counter()
     network, base_load = load_network_document(cfg.network_path)
-    all_nodes = frozenset(range(network.n_buses))
+    all_nodes = range(network.n_buses)
 
     rows = []
-    for level in levels:
+    for level in cfg.sweep_levels:
         params = replace(cfg.synthetic, penetration_target=level)
         sset = generate_synthetic(network, base_load, params, cfg.dt_hours, cfg.n_steps)
         ev = evaluate_subset(
@@ -155,7 +152,7 @@ def run_sweep(cfg: RunConfig, levels=None) -> Report:
         logger.info("sweep level %.3f: energy=%.4f power=%.4f", level, rows[-1]["energy_metric"], rows[-1]["power_metric"])
 
     return Report(
-        config=dict(cfg.raw, sweep={"levels": levels}),
+        config=cfg.raw,
         sweep=rows,
         timing={"total_seconds": time.perf_counter() - t_start},
     )
@@ -170,8 +167,7 @@ def run_dispatch_debug(cfg: RunConfig, scenario_index: int) -> dict:
             f"scenario index {scenario_index} out of range (set has {len(sset)})"
         )
     scen = sset.scenarios[scenario_index]
-    config = replace(cfg.dispatch, storage_nodes=frozenset(range(network.n_buses)))
-    sol = lookahead_dispatch(network, scen, config, backend=cfg.solver)
+    sol = lookahead_dispatch(network, scen, range(network.n_buses), cfg.dispatch, cfg.solver)
     residuals = verify_dispatch(network, scen, sol)
     used = [
         {"bus": int(b), "s_bar_mwh": float(s), "ps_bar_mw": float(p)}

@@ -6,6 +6,7 @@ import numpy as np
 
 from gridstore.dispatch import Scenario
 from gridstore.network import Bus, Generator, Line, Network, RenewableSite
+from gridstore.scenarios import ScenarioSet, SyntheticParams, generate_synthetic
 
 
 def random_network(
@@ -88,3 +89,44 @@ def constant_scenario(
         ren = np.zeros((n_steps, 0))
     load = np.full((n_steps, n), load_mw)
     return Scenario(dt_hours=dt_hours, renewable=ren, load=load, label="flat")
+
+
+def six_bus_instance(seed: int) -> tuple[Network, ScenarioSet]:
+    """Acceptance criterion 5's instance ``seed``: a 6-bus meshed network with
+    two renewable sites, and 4 synthetic scenarios of 8 five-minute steps."""
+    rng = np.random.default_rng(seed)
+
+    def x():
+        return float(rng.uniform(0.05, 0.2))
+
+    def lim():
+        return float(rng.uniform(2.2, 3.2))
+
+    lines = (
+        Line(0, 1, x(), lim()),
+        Line(1, 2, x(), lim()),
+        Line(2, 3, x(), None),
+        Line(3, 4, x(), lim()),
+        Line(4, 5, x(), lim()),
+        Line(5, 0, x(), None),
+        Line(0, 3, x(), None),
+    )
+    gens = (
+        Generator(0, 5.0, 30.0, float(rng.uniform(0.3, 0.6))),
+        Generator(3, 12.0, 15.0, float(rng.uniform(0.3, 0.6))),
+    )
+    sites = (RenewableSite(1, 5.0), RenewableSite(4, 5.0))
+    buses = tuple(Bus(i, f"b{i}", is_slack=(i == 0)) for i in range(6))
+    net = Network(buses, lines, gens, sites)
+    base_load = np.zeros(6)
+    base_load[2] = float(rng.uniform(3, 5))
+    base_load[5] = float(rng.uniform(3, 5))
+    params = SyntheticParams(
+        n_scenarios=4,
+        penetration_target=0.4,
+        seed=seed,
+        volatility=0.15,
+        ramp_event_prob=0.6,
+    )
+    sset = generate_synthetic(net, base_load, params, 1.0 / 12.0, 8)
+    return net, sset

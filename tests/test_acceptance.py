@@ -42,7 +42,7 @@ from gridstore.placement import (
 from gridstore.reporting import load_report, read_table
 from gridstore.scenarios import SyntheticParams, generate_synthetic
 from lp_oracle import oracle_solve, random_bounded_lp
-from netgen import constant_scenario, random_network, random_scenario
+from netgen import constant_scenario, random_network, random_scenario, six_bus_instance
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 DT = 1.0 / 12.0
@@ -118,8 +118,7 @@ def test_criterion_3_dispatch_invariants():
     for _ in range(50):
         net = random_network(rng, n_buses=int(rng.integers(2, 6)))
         scen = random_scenario(rng, net, n_steps=int(rng.integers(3, 8)))
-        cfg = DispatchConfig(storage_nodes=set(range(net.n_buses)))
-        sol = lookahead_dispatch(net, scen, cfg)
+        sol = lookahead_dispatch(net, scen, range(net.n_buses), DispatchConfig())
         res = verify_dispatch(net, scen, sol)
         for key in worst:
             worst[key] = max(worst[key], res[key])
@@ -131,8 +130,7 @@ def test_criterion_3_dispatch_invariants():
     for _ in range(5):
         net = random_network(rng, n_buses=3, tight_ramps=False)
         scen = constant_scenario(net)
-        cfg = DispatchConfig(storage_nodes=set(range(net.n_buses)))
-        sol = lookahead_dispatch(net, scen, cfg)
+        sol = lookahead_dispatch(net, scen, range(net.n_buses), DispatchConfig())
         worst_cap = max(worst_cap, float(np.max(sol.s_bar, initial=0.0)))
         assert np.all(sol.s_bar <= 1e-7)
     report_line(
@@ -163,25 +161,19 @@ def test_criterion_4_ramp_forcing_case():
     results = {}
     for pinned in (False, True):
         sizing_cfg = DispatchConfig(
-            storage_nodes={0},
-            storage_energy_cost=1.0,
-            storage_power_cost=0.0,
-            initial_soc_free=not pinned,
+            storage_energy_cost=1.0, storage_power_cost=0.0, initial_soc_free=not pinned
         )
-        prog, _ = build_dispatch_lp(net, scen, sizing_cfg)
+        prog, _ = build_dispatch_lp(net, scen, {0}, sizing_cfg)
         status, oracle_min = oracle_solve(prog)
         assert status == "optimal"
 
         cfg = DispatchConfig(
-            storage_nodes={0},
-            storage_energy_cost=1e4,
-            storage_power_cost=1e3,
-            initial_soc_free=not pinned,
+            storage_energy_cost=1e4, storage_power_cost=1e3, initial_soc_free=not pinned
         )
         run_net = Network(
             net.buses, net.lines, [Generator(0, 1.0, 10.0, 1.0)], net.renewables
         )
-        sol = lookahead_dispatch(run_net, scen, cfg, backend="simplex")
+        sol = lookahead_dispatch(run_net, scen, {0}, cfg, backend="simplex")
         assert sol.s_bar[0] == pytest.approx(oracle_min, abs=1e-6)
         results[pinned] = (oracle_min, float(sol.s_bar[0]))
 
@@ -196,45 +188,6 @@ def test_criterion_4_ramp_forcing_case():
 
 
 # -- criterion 5: greedy vs exhaustive on 6-bus instances ----------------------
-
-
-def six_bus_instance(seed: int):
-    rng = np.random.default_rng(seed)
-
-    def x():
-        return float(rng.uniform(0.05, 0.2))
-
-    def lim():
-        return float(rng.uniform(2.2, 3.2))
-
-    lines = (
-        Line(0, 1, x(), lim()),
-        Line(1, 2, x(), lim()),
-        Line(2, 3, x(), None),
-        Line(3, 4, x(), lim()),
-        Line(4, 5, x(), lim()),
-        Line(5, 0, x(), None),
-        Line(0, 3, x(), None),
-    )
-    gens = (
-        Generator(0, 5.0, 30.0, float(rng.uniform(0.3, 0.6))),
-        Generator(3, 12.0, 15.0, float(rng.uniform(0.3, 0.6))),
-    )
-    sites = (RenewableSite(1, 5.0), RenewableSite(4, 5.0))
-    buses = tuple(Bus(i, f"b{i}", is_slack=(i == 0)) for i in range(6))
-    net = Network(buses, lines, gens, sites)
-    base_load = np.zeros(6)
-    base_load[2] = float(rng.uniform(3, 5))
-    base_load[5] = float(rng.uniform(3, 5))
-    params = SyntheticParams(
-        n_scenarios=4,
-        penetration_target=0.4,
-        seed=seed,
-        volatility=0.15,
-        ramp_event_prob=0.6,
-    )
-    sset = generate_synthetic(net, base_load, params, DT, 8)
-    return net, sset
 
 
 def test_criterion_5_greedy_vs_exhaustive():
@@ -344,11 +297,12 @@ def test_criterion_7_penetration_sweep(tmp_path):
     from gridstore.config import load_run_config
     from gridstore.runners import run_sweep
 
-    cfg = load_run_config(
-        CASES / "quickstart_place.json", {"out_dir": str(tmp_path), "jobs": 2}
-    )
     levels = [0.1, 0.2, 0.3, 0.4, 0.5]
-    report = run_sweep(cfg, levels)
+    cfg = load_run_config(
+        CASES / "quickstart_place.json",
+        {"out_dir": str(tmp_path), "jobs": 2, "sweep": {"levels": levels}},
+    )
+    report = run_sweep(cfg)
     assert len(report.sweep) == 5
     energy = [row["energy_metric"] for row in report.sweep]
     power = [row["power_metric"] for row in report.sweep]

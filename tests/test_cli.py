@@ -127,6 +127,8 @@ def test_sweep_monotone_quickstart(tmp_path):
     header, rows = read_table(out / "sweep.csv")
     assert len(rows) == 2
     assert float(rows[0]["energy_metric"]) <= float(rows[1]["energy_metric"])
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["sweep"] == {"levels": [0.2, 0.4]}
 
 
 def test_sweep_level_zero_rejected(tmp_path):
@@ -134,9 +136,11 @@ def test_sweep_level_zero_rejected(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--levels", "0.0,0.2"]) == 2
 
 
-def test_sweep_unsorted_levels_rejected(tmp_path):
+def test_sweep_unsorted_levels_rejected(tmp_path, capsys):
+    # the config loader checks --levels, as it checks every other override
     cfg = setup_run(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--levels", "0.3,0.2"]) == 2
+    assert f"{cfg}: sweep levels must be sorted" in capsys.readouterr().err
 
 
 def test_dispatch_debug_prints_summary(tmp_path, capsys):
@@ -228,6 +232,17 @@ def test_import_matpower_bad_renewable_flag(tmp_path):
         "import-matpower", str(CASES / "rts96_3area.m"),
         "--out", str(tmp_path / "x.json"), "--renewable", "oops",
     ]) == 2
+
+
+@pytest.mark.parametrize("spec", ["107:-5", "107:nan"])
+def test_import_matpower_rejects_a_bad_nameplate(tmp_path, capsys, spec):
+    # both used to exit 0; the first wrote a file that failed to load, the second a NaN
+    out = tmp_path / "x.json"
+    assert main([
+        "import-matpower", str(CASES / "rts96_3area.m"), "--out", str(out), "--renewable", spec,
+    ]) == 2
+    assert "nameplate must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_env_override_seed(tmp_path, monkeypatch):

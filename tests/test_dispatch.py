@@ -76,7 +76,7 @@ def assert_matches_scipy(prog, ref: sp.csr_matrix) -> None:
 def test_lp_shape_one_bus_no_storage():
     net = one_bus_network(ramp=float("inf"), with_site=False)
     scen = Scenario(dt_hours=DT, renewable=np.zeros((2, 0)), load=[[5.0], [5.0]])
-    prog, idx = build_dispatch_lp(net, scen, DispatchConfig())
+    prog, idx = build_dispatch_lp(net, scen, (), DispatchConfig())
     assert prog.n_vars == 2  # two pg variables, no angles beyond the fixed slack
     assert prog.n_rows == 2  # one balance equality per step
     assert np.all(prog.row_lower == prog.row_upper)
@@ -89,7 +89,7 @@ def test_lp_shape_two_bus_one_step_storage():
         generators=[Generator(bus=0, cost=1.0, p_max=10.0)],
     )
     scen = Scenario(dt_hours=DT, renewable=np.zeros((1, 0)), load=[[0.0, 5.0]])
-    prog, idx = build_dispatch_lp(net, scen, DispatchConfig(storage_nodes={1}))
+    prog, idx = build_dispatch_lp(net, scen, {1}, DispatchConfig())
     # pg(1) + ps(1) + theta(1 non-slack) + s_bar(1) + ps_bar(1) + s0(1)
     assert prog.n_vars == 6
 
@@ -151,11 +151,9 @@ def test_lp_layout_pinned(variant, monkeypatch):
         load=[[0.0, 3.0], [0.0, 4.0]],
         interchange=[[0.5, 0.0], [0.0, 0.0]],
     )
-    cfg = DispatchConfig(
-        storage_nodes={1}, allow_curtailment=True, initial_soc_free=False, **caps
-    )
+    cfg = DispatchConfig(allow_curtailment=True, initial_soc_free=False, **caps)
     built = record_assembly(monkeypatch)
-    prog, _ = build_dispatch_lp(net, scen, cfg)
+    prog, _ = build_dispatch_lp(net, scen, {1}, cfg)
     assert np.array_equal(prog.matrix().toarray(), [r[0] for r in rows])
     ((A, ref),) = built
     assert A is prog.A
@@ -170,7 +168,7 @@ def test_lp_layout_pinned(variant, monkeypatch):
 def test_storage_free_flat_load():
     net = one_bus_network(ramp=10.0, with_site=False)
     scen = Scenario(dt_hours=DT, renewable=np.zeros((2, 0)), load=[[5.0], [5.0]])
-    sol = lookahead_dispatch(net, scen, DispatchConfig(), backend="simplex")
+    sol = lookahead_dispatch(net, scen, (), DispatchConfig(), backend="simplex")
     assert sol.pg.ravel() == pytest.approx([5.0, 5.0], abs=1e-8)
     assert sol.s_bar.size == 0
     assert sol.objective == pytest.approx(10.0 * DT * 1.0, abs=1e-8)
@@ -195,16 +193,14 @@ def test_ramp_case_minimum_energy_capacity():
         net.buses, net.lines, [Generator(0, 0.0, 10.0, 1.0)], net.renewables
     )
     prog, _ = build_dispatch_lp(
-        sizing_net,
-        scen,
-        DispatchConfig(storage_nodes={0}, storage_energy_cost=1.0, storage_power_cost=0.0),
+        sizing_net, scen, {0}, DispatchConfig(storage_energy_cost=1.0, storage_power_cost=0.0)
     )
     status, min_s_bar = oracle_solve(prog)
     assert status == "optimal"
     assert min_s_bar == pytest.approx(DT / 2, abs=1e-9)
 
-    cfg = DispatchConfig(storage_nodes={0}, storage_energy_cost=1e4, storage_power_cost=1e3)
-    sol = lookahead_dispatch(net, scen, cfg, backend="simplex")
+    cfg = DispatchConfig(storage_energy_cost=1e4, storage_power_cost=1e3)
+    sol = lookahead_dispatch(net, scen, {0}, cfg, backend="simplex")
     assert sol.s_bar[0] == pytest.approx(min_s_bar, abs=1e-6)
     assert sol.ps.ravel() == pytest.approx([-0.5, 0.5], abs=1e-6)
     assert sol.s_bar[0] > 0
@@ -213,20 +209,15 @@ def test_ramp_case_minimum_energy_capacity():
 def test_ramp_case_with_pinned_initial_soc_doubles_capacity():
     # pinning s0 = s_bar/2 forces capacity to cover the swing on both sides
     net = one_bus_network(ramp=1.0)
-    cfg = DispatchConfig(
-        storage_nodes={0},
-        storage_energy_cost=1e4,
-        storage_power_cost=1e3,
-        initial_soc_free=False,
-    )
-    sol = lookahead_dispatch(net, ramp_case_scenario(), cfg, backend="simplex")
+    cfg = DispatchConfig(storage_energy_cost=1e4, storage_power_cost=1e3, initial_soc_free=False)
+    sol = lookahead_dispatch(net, ramp_case_scenario(), {0}, cfg, backend="simplex")
     assert sol.s_bar[0] == pytest.approx(DT, abs=1e-6)
 
 
 def test_infeasible_without_storage_raises_with_label():
     net = one_bus_network(ramp=1.0)
     with pytest.raises(InfeasibleScenario) as err:
-        lookahead_dispatch(net, ramp_case_scenario(), DispatchConfig(), backend="simplex")
+        lookahead_dispatch(net, ramp_case_scenario(), (), DispatchConfig(), backend="simplex")
     assert "rampy" in str(err.value)
 
 
@@ -249,7 +240,7 @@ def test_solver_failure_names_scenario_and_backend(monkeypatch, solver, detail):
     monkeypatch.setattr(lpmod, "solve_with_backend", solver)
     net = one_bus_network(ramp=1.0)
     with pytest.raises(SolverFailure) as err:
-        lookahead_dispatch(net, ramp_case_scenario(), DispatchConfig(), backend="highs-ipm")
+        lookahead_dispatch(net, ramp_case_scenario(), (), DispatchConfig(), backend="highs-ipm")
     assert str(err.value) == f"scenario rampy (highs-ipm): {detail}"
 
 
@@ -263,8 +254,7 @@ def test_invariants_random_instances(backend):
     for _ in range(n_cases):
         net = random_network(rng, n_buses=int(rng.integers(2, 5)))
         scen = random_scenario(rng, net, n_steps=int(rng.integers(3, 7)))
-        cfg = DispatchConfig(storage_nodes=set(range(net.n_buses)))
-        sol = lookahead_dispatch(net, scen, cfg, backend=backend)
+        sol = lookahead_dispatch(net, scen, range(net.n_buses), DispatchConfig(), backend)
         res = verify_dispatch(net, scen, sol)
         assert res["power_balance"] <= 1e-6
         assert res["energy_bookkeeping"] <= 1e-7
@@ -278,8 +268,7 @@ def test_no_fluctuation_collapses_storage_to_zero():
     for _ in range(5):
         net = random_network(rng, n_buses=3, tight_ramps=False)
         scen = constant_scenario(net)
-        cfg = DispatchConfig(storage_nodes=set(range(net.n_buses)))
-        sol = lookahead_dispatch(net, scen, cfg, backend="simplex")
+        sol = lookahead_dispatch(net, scen, range(net.n_buses), DispatchConfig(), "simplex")
         assert np.all(np.abs(sol.s_bar) <= 1e-7)
         assert np.all(np.abs(sol.ps) <= 1e-6)
 
@@ -289,9 +278,9 @@ def test_widening_limits_never_raises_cost():
     for _ in range(6):
         net = random_network(rng, n_buses=3, tight_ramps=True)
         scen = random_scenario(rng, net, n_steps=4)
-        cfg = DispatchConfig(storage_nodes={0})
+        cfg = DispatchConfig()
         try:
-            base = lookahead_dispatch(net, scen, cfg, backend="highs")
+            base = lookahead_dispatch(net, scen, {0}, cfg, backend="highs")
         except InfeasibleScenario:
             continue
         wider = Network(
@@ -305,7 +294,7 @@ def test_widening_limits_never_raises_cost():
             ),
             net.renewables,
         )
-        relaxed = lookahead_dispatch(wider, scen, cfg, backend="highs")
+        relaxed = lookahead_dispatch(wider, scen, {0}, cfg, backend="highs")
         assert relaxed.objective <= base.objective + 1e-7
 
 
@@ -316,7 +305,7 @@ def test_single_period_equals_plain_dcopf():
     for _ in range(5):
         net = random_network(rng, n_buses=4, tight_ramps=False)
         scen = random_scenario(rng, net, n_steps=1)
-        sol = lookahead_dispatch(net, scen, DispatchConfig(), backend="simplex")
+        sol = lookahead_dispatch(net, scen, (), DispatchConfig(), backend="simplex")
 
         from gridstore.lp import LinearProgram
         from gridstore.network import build_laplacian
@@ -390,9 +379,8 @@ def test_backends_agree_on_dispatch_objective():
     for _ in range(5):
         net = random_network(rng, n_buses=3)
         scen = random_scenario(rng, net, n_steps=4)
-        cfg = DispatchConfig(storage_nodes=set(range(net.n_buses)))
         objectives = [
-            lookahead_dispatch(net, scen, cfg, backend=b).objective
+            lookahead_dispatch(net, scen, range(net.n_buses), DispatchConfig(), b).objective
             for b in ("simplex", "highs", "highs-ipm")
         ]
         assert objectives[1] == pytest.approx(objectives[0], rel=1e-7, abs=1e-6)
@@ -412,7 +400,7 @@ def test_dispatch_carries_the_lp_iterations_and_residual(backend, monkeypatch):
 
     monkeypatch.setattr(lpmod, "solve_with_backend", record)
     scen = random_scenario(rng, net)
-    dispatch = Dispatcher(net, scen, DispatchConfig({1, 2}), backend)
+    dispatch = Dispatcher(net, scen, {1, 2}, DispatchConfig(), backend)
     use = storage_use(dispatch.idx, dispatch(scen))
     (lp_sol,) = seen
     assert use.iterations == lp_sol.iterations > 0
@@ -432,11 +420,10 @@ def test_curtailment_restores_feasibility_on_surplus():
         renewables=[RenewableSite(bus=0, p_max=8.0)],
     )
     scen = Scenario(dt_hours=DT, renewable=[[8.0], [8.0]], load=[[5.0], [5.0]], label="surplus")
-    cfg = DispatchConfig(storage_nodes={0})
     with pytest.raises(InfeasibleScenario):
-        lookahead_dispatch(net, scen, cfg, backend="simplex")
-    relaxed = DispatchConfig(storage_nodes={0}, allow_curtailment=True)
-    sol = lookahead_dispatch(net, scen, relaxed, backend="simplex")
+        lookahead_dispatch(net, scen, {0}, DispatchConfig(), backend="simplex")
+    relaxed = DispatchConfig(allow_curtailment=True)
+    sol = lookahead_dispatch(net, scen, {0}, relaxed, backend="simplex")
     assert sol.curtailed is not None
     assert sol.curtailed.sum() == pytest.approx(6.0, abs=1e-6)  # 3 MW spilled each step
 
@@ -445,7 +432,7 @@ def test_interchange_is_fixed_injection():
     net = one_bus_network(ramp=10.0, with_site=False)
     inter = np.full((2, 1), 2.0)  # 2 MW imported every step
     scen = Scenario(dt_hours=DT, renewable=np.zeros((2, 0)), load=[[5.0], [5.0]], interchange=inter)
-    sol = lookahead_dispatch(net, scen, DispatchConfig(), backend="simplex")
+    sol = lookahead_dispatch(net, scen, (), DispatchConfig(), backend="simplex")
     assert sol.pg.ravel() == pytest.approx([3.0, 3.0], abs=1e-8)
 
 
@@ -472,14 +459,12 @@ def test_retargeted_lp_equals_fresh_build(storage, caps, curtail, soc_free, monk
     net = random_network(rng, n_buses=5, flow_limits=True, n_sites=2)
     scens = [random_scenario(rng, net, label=f"s{i}") for i in range(5)]
     nodes = {"everywhere": range(5), "subset": {1, 3}, "none": ()}[storage]
-    cfg = DispatchConfig(
-        storage_nodes=frozenset(nodes), allow_curtailment=curtail, initial_soc_free=soc_free
-    )
+    cfg = DispatchConfig(allow_curtailment=curtail, initial_soc_free=soc_free)
     built = record_assembly(monkeypatch)
-    first, idx = build_dispatch_lp(net, scens[0], cfg)
+    first, idx = build_dispatch_lp(net, scens[0], nodes, cfg)
     before = lp_bytes(first)
     for scen in scens:
-        fresh, _ = build_dispatch_lp(net, scen, cfg)
+        fresh, _ = build_dispatch_lp(net, scen, nodes, cfg)
         assert lp_bytes(retarget_dispatch_lp(first, idx, scen)) == lp_bytes(fresh)
         assert_matches_scipy(fresh, built[-1][1])
     assert lp_bytes(first) == before  # the template is left as built
@@ -500,8 +485,7 @@ def test_retarget_rejects_other_step_grid(field):
     net_kw, scen_kw, message = RESHAPED[field]
     rng = np.random.default_rng(4)
     net = random_network(rng)
-    cfg = DispatchConfig(storage_nodes={0})
-    prog, idx = build_dispatch_lp(net, random_scenario(rng, net, n_steps=6), cfg)
+    prog, idx = build_dispatch_lp(net, random_scenario(rng, net, n_steps=6), {0}, DispatchConfig())
     other = random_network(rng, **net_kw) if net_kw else net
     with pytest.raises(InconsistentDimensions, match=message):
         retarget_dispatch_lp(prog, idx, random_scenario(rng, other, **scen_kw))
@@ -521,10 +505,10 @@ def test_rts_sized_case_builds_and_solves():
         load=np.tile(doc.base_load, (T, 1)),
         label="flat-no-wind",
     )
-    cfg = DispatchConfig(storage_nodes=set(range(net.n_buses)))
-    prog, idx = build_dispatch_lp(net, scen, cfg)
+    nodes, cfg = range(net.n_buses), DispatchConfig()
+    prog, idx = build_dispatch_lp(net, scen, nodes, cfg)
     assert prog.n_vars == idx.n_vars
-    sol = lookahead_dispatch(net, scen, cfg, backend="highs-ipm")
+    sol = lookahead_dispatch(net, scen, nodes, cfg, backend="highs-ipm")
     assert sol.pg.sum(axis=1) == pytest.approx(np.full(T, doc.base_load.sum()), abs=1e-4)
     assert np.all(sol.s_bar <= 1e-6)  # nothing fluctuates, storage stays empty
 
@@ -545,11 +529,22 @@ def test_dimension_mismatch_rejected():
     net = one_bus_network()
     scen = Scenario(dt_hours=DT, renewable=np.zeros((2, 3)), load=[[1.0], [1.0]])
     with pytest.raises(InconsistentDimensions):
-        build_dispatch_lp(net, scen, DispatchConfig())
+        build_dispatch_lp(net, scen, (), DispatchConfig())
 
 
 def test_storage_node_outside_network_rejected():
     net = one_bus_network()
     scen = ramp_case_scenario()
     with pytest.raises(InconsistentDimensions):
-        build_dispatch_lp(net, scen, DispatchConfig(storage_nodes={5}))
+        build_dispatch_lp(net, scen, {5}, DispatchConfig())
+
+
+def test_storage_nodes_are_any_iterable_and_duplicates_collapse():
+    rng = np.random.default_rng(5)
+    net = random_network(rng, n_buses=4)
+    scen = random_scenario(rng, net)
+    want, _ = build_dispatch_lp(net, scen, {1, 3}, DispatchConfig())
+    for nodes in ([3, 1, 3], (1, 3), iter([3, 1]), range(1, 4, 2)):
+        prog, idx = build_dispatch_lp(net, scen, nodes, DispatchConfig())
+        assert idx.storage == [1, 3]
+        assert lp_bytes(prog) == lp_bytes(want)

@@ -74,6 +74,8 @@ BAD_VALUES = {
     "lines[0].from": {"lines": [{"from": True, "to": 0, "reactance": 0.2}]},
     "lines[0].reactance": {"lines": [{"from": 0, "to": 1, "reactance": "0.2"}]},
     "base_load_mw[0].bus": {"base_load_mw": [{"bus": 1.5, "mw": 4.0}]},
+    # Python's json reads NaN, which used to pass every range check
+    "generators[0].cost": {"generators": [{"bus": 0, "cost": float("nan"), "p_max": 12.0}]},
 }
 
 

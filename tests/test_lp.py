@@ -484,8 +484,7 @@ def surplus_sweep():
     # load beyond every generator and renewable
     short = Scenario(scens[0].dt_hours, scens[0].renewable, 100.0 * scens[0].load, label="short")
     scens.insert(2, short)
-    cfg = DispatchConfig(storage_nodes=frozenset({1, 3}), allow_curtailment=True)
-    template, idx = build_dispatch_lp(net, scens[0], cfg)
+    template, idx = build_dispatch_lp(net, scens[0], {1, 3}, DispatchConfig(allow_curtailment=True))
     return [retarget_dispatch_lp(template, idx, scen) for scen in scens]
 
 
@@ -868,8 +867,7 @@ def rts_storage_everywhere_lp():
         n_scenarios=4, penetration_target=0.25, seed=1, volatility=0.07, ramp_event_prob=0.4
     )
     sset = generate_synthetic(net, base_load, params, dt_hours=1.0 / 12.0, n_steps=12)
-    cfg = DispatchConfig(storage_nodes=frozenset(range(net.n_buses)))
-    return build_dispatch_lp(net, sset.scenarios[0], cfg)[0]
+    return build_dispatch_lp(net, sset.scenarios[0], range(net.n_buses), DispatchConfig())[0]
 
 
 def test_an_unset_stop_moves_no_ipm_answer_on_the_three_area_network():

@@ -1,10 +1,11 @@
-"""A vertex-free oracle for the dispatch LP on the quickstart case.
+"""A vertex-free oracle for the dispatch LP.
 
 The optimal vertex of a scenario's LP need not be unique, but its optimal
 cost is, and every optimal point is a physically valid dispatch.  So for
 every storage node set of the quickstart network at four scenario draws,
-and every scenario, this checks properties that hold whatever vertex a
-backend returns:
+and for the node sets greedy evaluates on each of acceptance criterion 5's
+ten 6-bus instances, this checks, scenario by scenario, properties that hold
+whatever vertex a backend returns:
 
 - the three backends agree on feasibility, and their optimal costs agree
   to 1e-9 relative;
@@ -18,7 +19,6 @@ Each LP is built and re-targeted the way a placement sweep does it, through
 one :class:`Dispatcher` per node set and backend.
 """
 
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -27,8 +27,10 @@ import pytest
 
 from gridstore import runners
 from gridstore.config import load_run_config
-from gridstore.dispatch import Dispatcher, decode_solution, verify_dispatch
+from gridstore.dispatch import DispatchConfig, Dispatcher, decode_solution, verify_dispatch
 from gridstore.errors import InfeasibleScenario
+from gridstore.placement import PerfWeights, greedy_placement
+from netgen import six_bus_instance
 
 BACKENDS = ("simplex", "highs", "highs-ipm")
 REL_TOL = 1e-9
@@ -49,10 +51,10 @@ def limit_excess(network, sol) -> float:
     )
 
 
-def costs(network, sset, config, backend) -> list[float | None]:
-    """Each scenario's optimal cost, or None where its LP is infeasible;
-    asserts that each optimal dispatch is physically valid."""
-    dispatch = Dispatcher(network, sset.scenarios[0], config, backend)
+def costs(network, sset, nodes, config, backend) -> list[float | None]:
+    """Each scenario's optimal cost with storage at ``nodes``, or None where
+    its LP is infeasible; asserts that each optimal dispatch is physically valid."""
+    dispatch = Dispatcher(network, sset.scenarios[0], nodes, config, backend)
     out = []
     for scen in sset:
         try:
@@ -68,16 +70,10 @@ def costs(network, sset, config, backend) -> list[float | None]:
     return out
 
 
-@pytest.mark.parametrize("seed", [7, 5, 13, 15])
-def test_optimal_costs_agree_and_fall_as_storage_grows(tmp_path, seed):
-    case = Path(__file__).resolve().parent.parent / "cases" / "quickstart_place.json"
-    cfg = load_run_config(case, {"seed": seed, "jobs": 1, "out_dir": str(tmp_path)})
-    network, base_load = runners.load_network_document(cfg.network_path)
-    sset = runners.build_scenarios(cfg, network, base_load)
-    buses = range(network.n_buses)
-    node_sets = [frozenset(c) for k in range(len(buses) + 1) for c in combinations(buses, k)]
+def check_costs(network, sset, config, node_sets) -> None:
+    """Assert the oracle's properties over ``node_sets``, a list of frozensets."""
     table = {
-        (nodes, backend): costs(network, sset, replace(cfg.dispatch, storage_nodes=nodes), backend)
+        (nodes, backend): costs(network, sset, nodes, config, backend)
         for nodes in node_sets
         for backend in BACKENDS
     }
@@ -102,3 +98,22 @@ def test_optimal_costs_agree_and_fall_as_storage_grows(tmp_path, seed):
                         assert cost_c is None, where  # C feasible where its superset A is not
                     elif cost_c is not None:
                         assert cost_c >= cost_a - REL_TOL * max(1.0, abs(cost_a)), where
+
+
+@pytest.mark.parametrize("seed", [7, 5, 13, 15])
+def test_optimal_costs_agree_and_fall_as_storage_grows(tmp_path, seed):
+    case = Path(__file__).resolve().parent.parent / "cases" / "quickstart_place.json"
+    cfg = load_run_config(case, {"seed": seed, "jobs": 1, "out_dir": str(tmp_path)})
+    network, base_load = runners.load_network_document(cfg.network_path)
+    sset = runners.build_scenarios(cfg, network, base_load)
+    buses = range(network.n_buses)
+    node_sets = [frozenset(c) for k in range(len(buses) + 1) for c in combinations(buses, k)]
+    check_costs(network, sset, cfg.dispatch, node_sets)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_greedy_chain_costs_agree_and_fall_on_six_bus_instances(seed):
+    # the node sets acceptance criterion 5's greedy run evaluates, infeasible ones included
+    network, sset = six_bus_instance(seed)
+    state = greedy_placement(network, sset, PerfWeights(site_cost=0.02), backend="highs")
+    check_costs(network, sset, DispatchConfig(), list(state.verdicts))

@@ -197,6 +197,31 @@ def test_validate_requires_single_slack():
         net.validate()
 
 
+NAN = float("nan")
+# NaN passed every range test written as `x < 0`
+NAN_FIELDS = {
+    "generator cost": dict(generators=[Generator(0, NAN, 5.0)]),
+    "generator p_max": dict(generators=[Generator(0, 1.0, NAN)]),
+    "generator ramp": dict(generators=[Generator(0, 1.0, 5.0, NAN)]),
+    "site nameplate": dict(renewables=[RenewableSite(1, NAN)]),
+    "base_mva": dict(base_mva=NAN),
+}
+
+
+@pytest.mark.parametrize("field", list(NAN_FIELDS))
+def test_validate_rejects_nan(field):
+    buses, lines = [Bus(0, is_slack=True), Bus(1)], [Line(0, 1, 0.1)]
+    net = Network(buses=buses, lines=lines, **NAN_FIELDS[field])
+    with pytest.raises(ValidationError):
+        net.validate()
+
+
+@pytest.mark.parametrize("nameplate, reactance", [(NAN, 0.02), (-5.0, 0.02), (10.0, -0.02)])
+def test_with_renewable_node_validates_the_network_it_builds(nameplate, reactance):
+    with pytest.raises(ValidationError):
+        with_renewable_node(two_bus(), at_bus=1, nameplate=nameplate, line_reactance=reactance)
+
+
 def test_with_renewable_node_appends_bus_line_site():
     net = two_bus()
     grown = with_renewable_node(net, at_bus=1, nameplate=10.0)

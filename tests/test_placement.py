@@ -114,10 +114,10 @@ def test_colocated_storage_absorbing_fluctuation_hits_unity():
         renewables=[RenewableSite(bus=0, p_max=4.0)],
     )
     scen = Scenario(dt_hours=1.0, renewable=[[2.0], [0.0]], load=[[5.0], [5.0]], label="island")
-    cfg = DispatchConfig(storage_nodes={0}, storage_energy_cost=100.0, storage_power_cost=10.0)
-    sol = lookahead_dispatch(net, scen, cfg, backend="simplex")
+    cfg = DispatchConfig(storage_energy_cost=100.0, storage_power_cost=10.0)
+    sol = lookahead_dispatch(net, scen, {0}, cfg, backend="simplex")
     assert sol.ps.ravel() == pytest.approx([-1.0, 1.0], abs=1e-7)
-    uses = solve_all_scenarios(net, ScenarioSet([scen]), cfg, backend="simplex")
+    uses = solve_all_scenarios(net, ScenarioSet([scen]), {0}, cfg, backend="simplex")
     assert normalized_energy_capacity(uses, [scen]) == pytest.approx(1.0, abs=1e-6)
     assert normalized_power_capacity(uses, [scen]) == pytest.approx(0.5, abs=1e-6)
 
@@ -265,6 +265,24 @@ def test_greedy_relative_epsilon_scales_the_initial_perf(monkeypatch):
         assert [len(r.nodes) for r in state.rounds] == sizes
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("epsilon_rel", 0.0),
+        ("epsilon_rel", -1.0),
+        ("epsilon_rel", 1.5),
+        ("epsilon_rel", float("nan")),
+        ("epsilon", float("nan")),
+        ("epsilon_prime", float("nan")),
+    ],
+)
+def test_greedy_rejects_a_tolerance_out_of_range(name, bad):
+    # the config loader's ranges; a zero or negative epsilon_rel used to become
+    # an epsilon of 1e-12, and a NaN turned pruning off
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        greedy_placement(chain_network(), chain_scenarios(n=1), **{name: bad})
+
+
 # -- chain instance: greedy vs exhaustive ------------------------------------
 
 
@@ -407,10 +425,10 @@ def test_sizing_dominance_resolves_feasibly_with_fixed_caps():
     state = greedy_placement(net, sset, PerfWeights(site_cost=0.05), backend="highs")
     if not state.nodes:
         pytest.skip("greedy pruned to empty set on this seed")
-    cfg = DispatchConfig(storage_nodes=frozenset(state.nodes))
+    cfg = DispatchConfig()
     pad = 1e-6  # float headroom on top of the elementwise max
     for scen in sset.scenarios[:10]:
-        prog, idx = build_dispatch_lp(net, scen, cfg)
+        prog, idx = build_dispatch_lp(net, scen, state.nodes, cfg)
         for col, cap in ((idx.s_bar, state.rounds[-1].s_bar_max), (idx.ps_bar, state.rounds[-1].ps_bar_max)):
             prog.var_lower[col] = prog.var_upper[col] = cap + pad
         solved = lpmod.solve_with_backend(prog, "highs")
@@ -443,7 +461,7 @@ def test_serial_sweep_solves_on_the_calling_thread_without_stop(monkeypatch, job
     # jobs=1, or a single scenario, takes no pool: no thread and no interrupt callback
     net = chain_network()
     sset = chain_scenarios(n=n, seed=31)
-    cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}))
+    cfg = DispatchConfig()
     calls = []
     solve = lpmod.solve_with_backend
 
@@ -454,7 +472,7 @@ def test_serial_sweep_solves_on_the_calling_thread_without_stop(monkeypatch, job
     monkeypatch.setattr(lpmod, "solve_with_backend", recording)
     for order in (None, list(range(n))[::-1]):
         calls.clear()
-        slots = solve_all_scenarios(net, sset, cfg, "highs", jobs, order=order)
+        slots = solve_all_scenarios(net, sset, {0, 1, 2}, cfg, "highs", jobs, order=order)
         assert len(slots) == n and None not in slots
         assert calls == [(threading.current_thread(), None)] * n
 
@@ -464,7 +482,7 @@ def test_serial_sweep_solves_on_the_calling_thread_without_stop(monkeypatch, job
 def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail, jobs):
     net = chain_network()
     sset = chain_scenarios(n=5, seed=31)
-    cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
+    nodes, cfg = {0, 1, 2}, DispatchConfig(allow_curtailment=curtail)
     assembled = []
     build = dispatchmod.build_dispatch_lp
 
@@ -479,13 +497,13 @@ def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail, jobs):
 
     monkeypatch.setattr(dispatchmod, "decode_solution", no_full_decode)
     monkeypatch.setattr(dispatchmod.DispatchSolution, "__init__", no_full_decode)
-    uses = solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs)
+    uses = solve_all_scenarios(net, sset, nodes, cfg, backend="highs", jobs=jobs)
     assert assembled == [sset.scenarios[0].label]  # once per sweep, not once per thread
     greedy_placement(net, sset, PerfWeights(site_cost=0.05), dispatch=cfg, jobs=jobs)
     monkeypatch.undo()
     assert len(uses) == len(sset) and None not in uses
     for scen, got in zip(sset, uses):
-        want = lookahead_dispatch(net, scen, cfg, backend="highs")
+        want = lookahead_dispatch(net, scen, nodes, cfg, backend="highs")
         assert np.array_equal(got.s_bar, want.s_bar)  # bitwise
         assert np.array_equal(got.ps_bar, want.ps_bar)
         assert got.objective == want.objective
@@ -494,9 +512,9 @@ def test_sweep_assembles_once_and_matches_lookahead(monkeypatch, curtail, jobs):
         assert got.power == float(np.abs(want.ps).max(axis=0).sum())
 
 
-def read_only_build(network, scenario, config):
+def read_only_build(network, scenario, nodes, config):
     """``build_dispatch_lp`` with every array of the program made read-only."""
-    prog, idx = build_dispatch_lp(network, scenario, config)
+    prog, idx = build_dispatch_lp(network, scenario, nodes, config)
     for array in (
         prog.A.indptr,
         prog.A.indices,
@@ -515,18 +533,17 @@ def read_only_build(network, scenario, config):
 @pytest.mark.parametrize("curtail", [False, True])
 def test_shared_sweep_lp_is_never_written(monkeypatch, tmp_path, backend, curtail):
     run_cfg, net, sset = quickstart_case(tmp_path, 7)
-    cfg = replace(run_cfg.dispatch, storage_nodes=frozenset({0, 1, 2}), allow_curtailment=curtail)
-    want = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=1)
+    cfg = replace(run_cfg.dispatch, allow_curtailment=curtail)
+    want = solve_all_scenarios(net, sset, {0, 1, 2}, cfg, backend=backend, jobs=1)
     monkeypatch.setattr(dispatchmod, "build_dispatch_lp", read_only_build)
-    got = solve_all_scenarios(net, sset, cfg, backend=backend, jobs=2)
+    got = solve_all_scenarios(net, sset, {0, 1, 2}, cfg, backend=backend, jobs=2)
     assert_uses_equal(got, want)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_empty_scenario_set_dispatches_nothing(jobs):
     net, empty = chain_network(), ScenarioSet([])
-    cfg = DispatchConfig(storage_nodes=frozenset({0, 1}))
-    assert solve_all_scenarios(net, empty, cfg, jobs=jobs) == ()
+    assert solve_all_scenarios(net, empty, {0, 1}, DispatchConfig(), jobs=jobs) == ()
     weights = PerfWeights(site_cost=0.05)
     ev, metrics = evaluate_fixed_placement(net, empty, {0, 1}, weights, jobs=jobs)
     assert ev.nodes == (0, 1) and ev.s_bar_max.size == 0
@@ -567,12 +584,12 @@ def assert_evaluations_equal(a, b):
 
 
 def assert_sweep_ignores_order(network, sset, nodes, parent_nodes=None):
-    cfg = DispatchConfig(storage_nodes=frozenset(nodes))
-    want = solve_all_scenarios(network, sset, cfg, backend="highs")
+    cfg = DispatchConfig()
+    want = solve_all_scenarios(network, sset, nodes, cfg, backend="highs")
     want_ev = evaluate_subset(network, sset, nodes, PerfWeights(), DispatchConfig())
     for jobs in (1, 2):
         for name, order in orders_to_try(network, sset, nodes, parent_nodes).items():
-            got = solve_all_scenarios(network, sset, cfg, backend="highs", jobs=jobs, order=order)
+            got = solve_all_scenarios(network, sset, nodes, cfg, "highs", jobs, order=order)
             assert_uses_equal(got, want)
             ev = evaluate_subset(
                 network, sset, nodes, PerfWeights(), DispatchConfig(), jobs=jobs, order=order
@@ -608,8 +625,7 @@ def test_sweep_ignores_dispatch_order_quickstart(tmp_path, seed, nodes, dropped,
 def test_evaluation_records_its_sweep(tmp_path, jobs):
     # draw 15 drops scenario s00002 at {1}; the record keeps the other rows
     cfg, net, sset = quickstart_case(tmp_path, 15)
-    config = replace(cfg.dispatch, storage_nodes=frozenset({1}))
-    slots = solve_all_scenarios(net, sset, config, cfg.solver, jobs)
+    slots = solve_all_scenarios(net, sset, {1}, cfg.dispatch, cfg.solver, jobs)
     ev = evaluate_subset(net, sset, {1}, cfg.weights, cfg.dispatch, cfg.solver, jobs)
     assert sset.scenarios[2].label == "s00002"
     assert len(slots) == 30 and slots[2] is None
@@ -624,11 +640,10 @@ def test_evaluation_records_its_sweep(tmp_path, jobs):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_aborted_sweep_verdict_ignores_order(tmp_path, jobs):
     _, net, sset = quickstart_case(tmp_path, 13)  # {1} fails on 3 or more of 30
-    cfg = DispatchConfig(storage_nodes=frozenset({1}))
     messages = set()
     for order in orders_to_try(net, sset, {1}).values():
         with pytest.raises(AllScenariosInfeasible) as err:
-            solve_all_scenarios(net, sset, cfg, backend="highs", jobs=jobs, order=order)
+            solve_all_scenarios(net, sset, {1}, DispatchConfig(), "highs", jobs, order=order)
         assert dispatch_threads() == []  # the dropped solves were stopped and joined
         assert len(err.value.infeasible) == 3
         messages.add(str(err.value))
@@ -636,9 +651,10 @@ def test_aborted_sweep_verdict_ignores_order(tmp_path, jobs):
 
 
 def test_sweep_rejects_an_order_that_is_not_a_permutation():
-    cfg = DispatchConfig(storage_nodes=frozenset({0}))
     with pytest.raises(ValidationError):
-        solve_all_scenarios(chain_network(), chain_scenarios(n=3), cfg, order=[0, 0, 1])
+        solve_all_scenarios(
+            chain_network(), chain_scenarios(n=3), {0}, DispatchConfig(), order=[0, 0, 1]
+        )
 
 
 def test_binding_first_order_ranks_by_dropped_ps_bar():
@@ -741,10 +757,9 @@ def test_worker_failure_ends_the_sweep_at_once(monkeypatch):
         return solve(prog, backend, stop=stop)
 
     monkeypatch.setattr(lpmod, "solve_with_backend", failing_once)
-    cfg = DispatchConfig(storage_nodes=frozenset({0, 1, 2}))
     start = time.monotonic()
     with pytest.raises(SolverFailure, match=r"^scenario s\d+ \(highs\): .* iteration_limit$"):
-        solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
+        solve_all_scenarios(net, sset, {0, 1, 2}, DispatchConfig(), backend="highs", jobs=2)
     assert time.monotonic() - start < 10
     assert dispatch_threads() == []
     assert len(calls) == 2  # the failed LP and the one left running: none started after the failure
@@ -760,7 +775,6 @@ def test_aborting_pool_sweeps_do_not_hang():
         renewables=[RenewableSite(bus=0, p_max=4.0)],
     )
     sset = chain_scenarios(seed=13)
-    cfg = DispatchConfig(storage_nodes=frozenset({2}))
 
     def hung(signum, frame):
         raise TimeoutError("aborting sweeps hung")
@@ -770,7 +784,7 @@ def test_aborting_pool_sweeps_do_not_hang():
     try:
         for _ in range(30):
             with pytest.raises(AllScenariosInfeasible):
-                solve_all_scenarios(net, sset, cfg, backend="highs", jobs=2)
+                solve_all_scenarios(net, sset, {2}, DispatchConfig(), backend="highs", jobs=2)
             assert multiprocessing.active_children() == []
             assert dispatch_threads() == []  # no join: the sweep joined its threads
     finally:
